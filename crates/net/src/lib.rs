@@ -13,28 +13,29 @@
 //!   message: certify request/decision, writeset stream fetch, status,
 //!   recovery state transfer, and session control (hello, ping, goodbye).
 //! * [`transport`] — the [`Transport`]/[`Listener`]/[`Connection`] traits:
-//!   non-blocking, poll-based endpoints that the event loops drive.
+//!   blocking endpoints with deadlines, whose every wait can be woken from
+//!   another thread (close a connection or a listener).
 //! * [`loopback`] — a deterministic in-memory transport whose links can be
 //!   severed and healed (fault injection for partitions) — the cluster's
 //!   fault harness drives it exactly like crash faults.
-//! * [`tcp`] — the same trait over real non-blocking `std::net` sockets on
+//! * [`tcp`] — the same traits over real blocking `std::net` sockets on
 //!   localhost.
-//! * [`session`] — the client side: [`RemoteCertifier`] runs a small event
-//!   loop on its own thread (dial, handshake, per-peer send queue with
-//!   backpressure, reconnect with exponential backoff, graceful close) and
-//!   implements [`CertifierService`](tashkent_proxy::CertifierService), so a
-//!   proxy certifies across the wire through the same handle it always used.
-//! * [`server`] — the certifier side: [`NetServer`] polls one listener plus
-//!   every accepted session and answers requests from the in-process
-//!   certifier behind it.
+//! * [`session`] — the client side: [`RemoteCertifier`] writes each request
+//!   straight onto the connection and runs one reader thread per session
+//!   (dial, handshake, backpressure, reconnect with exponential backoff,
+//!   half-open detection, graceful close); it implements
+//!   [`CertifierService`](tashkent_proxy::CertifierService), so a proxy
+//!   certifies across the wire through the same handle it always used.
+//! * [`server`] — the certifier side: [`NetServer`] accepts sessions and
+//!   serves each on its own thread from the in-process certifier behind it.
 //! * [`cluster_net`] — [`ClusterNet`] wires one server and one client per
 //!   replica together for a whole cluster, and exposes the sever/heal hooks
 //!   the fault executor calls.
 //!
 //! The design intentionally avoids an async runtime: the build is air-gapped
-//! and the workloads are closed-loop, so a poll loop over non-blocking
-//! endpoints (with a short park when idle) is both sufficient and exactly
-//! reproducible under the loopback transport.
+//! and the cluster has a handful of sessions, so one blocked thread per
+//! session end is cheap, and every thread wakes the moment its data (or a
+//! close) arrives — no poll interval sits on the commit path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

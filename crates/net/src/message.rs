@@ -47,6 +47,15 @@ fn decode_string(buf: &mut Bytes, what: &str) -> Result<String> {
         .map_err(|_| Error::Corruption(format!("invalid utf-8 in {what}")))
 }
 
+/// The peer index in a `replica-N` style node name (the `Hello` name), for
+/// event-journal correlation; anything else gets the "no node" sentinel.
+pub(crate) fn node_index(node: &str) -> usize {
+    node.rsplit('-')
+        .next()
+        .and_then(|s| s.parse::<usize>().ok())
+        .unwrap_or(usize::from(u16::MAX))
+}
+
 /// One wire payload: a request id plus the message it carries.
 ///
 /// Requests choose a fresh id; responses echo the request's id.  Unsolicited

@@ -1,23 +1,24 @@
 //! The certifier side of the wire: [`NetServer`].
 //!
 //! One `NetServer` fronts one in-process certifier (a
-//! [`CertifierHandle`]) with a single poll-based event loop: it accepts new
-//! connections, completes handshakes, decodes request envelopes, answers
-//! them from the certifier and flushes responses — all without blocking, so
-//! one thread serves every replica session.  (Certification itself is an
-//! in-memory intersection test — the durable log write happens on the
-//! certifier's group-commit path — so a single service loop is not the
-//! bottleneck at cluster-test scale.)
+//! [`CertifierHandle`]).  An accept thread blocks on the listener and hands
+//! every new connection to a session thread of its own, which blocks in
+//! receive, answers each request inline from the certifier and writes the
+//! response straight back.  Sessions therefore certify concurrently —
+//! the certifier's batching and group commit see every replica's requests
+//! at once — and nothing polls: an idle server sleeps in the kernel (TCP)
+//! or on a condvar (loopback).  [`NetServer::stop`] closes the listener,
+//! which wakes the accept, and hangs up every session, which wakes its
+//! reader.
 //!
 //! Sessions appear in the event journal as
 //! [`EventKind::SessionOpen`] / [`EventKind::SessionClose`] on the
 //! certifier component, and in the open-sessions gauge (each side counts
 //! its own end).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use tashkent_common::{
@@ -25,31 +26,31 @@ use tashkent_common::{
 };
 use tashkent_proxy::CertifierHandle;
 
-use crate::message::{Envelope, Message};
-use crate::transport::{FramedConn, Listener, Transport};
+use crate::message::{node_index, Envelope, Message};
+use crate::transport::{Connection, FramedConn, Listener, Transport};
 
-/// How long the loop parks when a tick moved nothing.
-const IDLE_PARK: Duration = Duration::from_micros(100);
+/// How long a response write may wait for a client that is not draining
+/// before the session is dropped.
+const REPLY_DEADLINE: Duration = Duration::from_secs(2);
 
-/// One accepted connection and its handshake state.
-struct ServerSession {
-    framed: FramedConn,
-    /// The peer's self-declared name once the `Hello` arrived.
-    node: Option<String>,
-    /// Set by `Goodbye`: close once the response backlog drains.
-    closing: bool,
+/// One session thread and a handle to hang its connection up with.
+struct SessionThread {
+    conn: Box<dyn Connection>,
+    worker: thread::JoinHandle<()>,
 }
 
 /// The certifier's network front end.
 pub struct NetServer {
     endpoint: String,
     name: String,
-    shutdown: Arc<AtomicBool>,
-    worker: Mutex<Option<thread::JoinHandle<()>>>,
+    /// Dropped by [`NetServer::stop`], which closes a TCP socket for good.
+    listener: Mutex<Option<Arc<dyn Listener>>>,
+    sessions: Arc<Mutex<Vec<SessionThread>>>,
+    acceptor: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl NetServer {
-    /// Binds `endpoint` on `transport` and starts the service loop for
+    /// Binds `endpoint` on `transport` and starts accepting sessions for
     /// `handle`.  The returned server reports the *actual* endpoint (TCP
     /// port 0 resolves to the bound port).
     ///
@@ -63,20 +64,24 @@ impl NetServer {
         endpoint: &str,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<NetServer> {
-        let listener = transport.listen(endpoint)?;
+        let listener: Arc<dyn Listener> = Arc::from(transport.listen(endpoint)?);
         let actual = listener.local_endpoint();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_name = name.to_string();
-        let worker = thread::Builder::new()
-            .name(format!("tknp-server-{name}"))
-            .spawn(move || service_loop(&loop_name, &handle, listener, &metrics, &loop_shutdown))
-            .expect("spawn server event loop");
+        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let acceptor = {
+            let listener = Arc::clone(&listener);
+            let sessions = Arc::clone(&sessions);
+            let name = name.to_string();
+            thread::Builder::new()
+                .name(format!("tknp-accept-{name}"))
+                .spawn(move || accept_loop(&name, &handle, listener.as_ref(), &metrics, &sessions))
+                .expect("spawn server accept thread")
+        };
         Ok(NetServer {
             endpoint: actual,
             name: name.to_string(),
-            shutdown,
-            worker: Mutex::new(Some(worker)),
+            listener: Mutex::new(Some(listener)),
+            sessions,
+            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 
@@ -93,11 +98,22 @@ impl NetServer {
         &self.name
     }
 
-    /// Stops the service loop and joins it.  Idempotent.
+    /// Stops accepting, hangs up every session and joins every thread.
+    /// Idempotent.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
+        if let Some(listener) = self.listener.lock().take() {
+            listener.close();
+        }
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+        // The acceptor is gone, so no session can be added behind us.
+        let sessions = std::mem::take(&mut *self.sessions.lock());
+        for session in &sessions {
+            session.conn.close();
+        }
+        for session in sessions {
+            let _ = session.worker.join();
         }
     }
 }
@@ -108,139 +124,122 @@ impl Drop for NetServer {
     }
 }
 
-fn service_loop(
+fn accept_loop(
     name: &str,
     handle: &CertifierHandle,
-    mut listener: Box<dyn Listener>,
+    listener: &dyn Listener,
     metrics: &Arc<MetricsRegistry>,
-    shutdown: &AtomicBool,
+    sessions: &Mutex<Vec<SessionThread>>,
 ) {
-    let mut sessions: Vec<ServerSession> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        let mut moved = false;
-
-        // Accept whatever is queued.
-        while let Ok(Some(conn)) = listener.try_accept() {
-            sessions.push(ServerSession {
-                framed: FramedConn::new(conn),
-                node: None,
-                closing: false,
-            });
-            moved = true;
+    while let Ok(conn) = listener.accept() {
+        let Ok(hang_up) = conn.try_clone() else {
+            conn.close();
+            continue;
+        };
+        let worker = {
+            let name = name.to_string();
+            let handle = handle.clone();
+            let metrics = Arc::clone(metrics);
+            thread::Builder::new()
+                .name(format!("tknp-session-{name}"))
+                .spawn(move || serve_session(&name, &handle, conn, &metrics))
+                .expect("spawn server session thread")
+        };
+        let mut sessions = sessions.lock();
+        let (done, live) = std::mem::take(&mut *sessions)
+            .into_iter()
+            .partition(|session: &SessionThread| session.worker.is_finished());
+        *sessions = live;
+        sessions.push(SessionThread {
+            conn: hang_up,
+            worker,
+        });
+        drop(sessions);
+        for session in done {
+            let _ = session.worker.join();
         }
-
-        // Pump every session; collect the dead ones.
-        let mut index = 0;
-        while index < sessions.len() {
-            match pump_one(name, handle, &mut sessions[index], metrics) {
-                Ok(session_moved) => {
-                    let session = &sessions[index];
-                    if session.closing && session.framed.backlog() == 0 {
-                        close_session(sessions.remove(index), metrics);
-                        moved = true;
-                    } else {
-                        moved |= session_moved;
-                        index += 1;
-                    }
-                }
-                Err(_) => {
-                    close_session(sessions.remove(index), metrics);
-                    moved = true;
-                }
-            }
-        }
-
-        if !moved {
-            thread::sleep(IDLE_PARK);
-        }
-    }
-    for session in sessions.drain(..) {
-        close_session(session, metrics);
     }
 }
 
-fn close_session(session: ServerSession, metrics: &Arc<MetricsRegistry>) {
-    // Sessions that never completed the handshake were never counted.
-    if let Some(node) = session.node {
-        metrics.gauge_add(GaugeId::OpenSessions, -1);
-        metrics.emit(
-            Event::new(Component::Certifier, EventKind::SessionClose).node(node_index(&node)),
-        );
-    }
-}
-
-/// Parses the peer index out of a `replica-N` style node name (journal
-/// correlation); anything else gets the "no node" sentinel.
-fn node_index(node: &str) -> usize {
-    node.rsplit('-')
-        .next()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(usize::from(u16::MAX))
-}
-
-fn pump_one(
+/// Answers one session's requests in arrival order until it says goodbye,
+/// breaks, or the server hangs it up.
+fn serve_session(
     name: &str,
     handle: &CertifierHandle,
-    session: &mut ServerSession,
+    conn: Box<dyn Connection>,
     metrics: &Arc<MetricsRegistry>,
-) -> Result<bool> {
-    let mut moved = session.framed.flush(metrics)?;
-    for envelope in session.framed.poll(metrics)? {
-        moved = true;
+) {
+    let mut framed = FramedConn::new(conn);
+    // The peer's self-declared name once its `Hello` arrived.
+    let mut node: Option<String> = None;
+    while let Ok(Some(envelope)) = framed.recv(None, metrics) {
         let reply = match envelope.message {
-            Message::Hello { node } => {
+            Message::Hello { node: peer } => {
                 metrics.gauge_add(GaugeId::OpenSessions, 1);
                 metrics.emit(
                     Event::new(Component::Certifier, EventKind::SessionOpen)
-                        .node(node_index(&node)),
+                        .node(node_index(&peer)),
                 );
-                session.node = Some(node);
-                Some(Message::HelloAck {
+                node = Some(peer);
+                Message::HelloAck {
                     node: name.to_string(),
-                })
+                }
             }
-            Message::CertifyRequest(request) => Some(match handle.certify(&request) {
+            Message::CertifyRequest(request) => match handle.certify(&request) {
                 Ok(response) => Message::CertifyDecision(response),
                 Err(e) => Message::ErrorReply {
                     unavailable: e.is_unavailable(),
                     detail: e.to_string(),
                 },
-            }),
-            Message::FetchWritesets { since } => Some(Message::WritesetBatch {
+            },
+            Message::FetchWritesets { since } => Message::WritesetBatch {
                 writesets: handle.writesets_after(since),
-            }),
-            Message::StatusRequest => Some(Message::StatusResponse {
+            },
+            Message::StatusRequest => Message::StatusResponse {
                 system_version: handle.system_version(),
                 truncation_floor: handle.truncation_floor(),
                 available: handle.is_available(),
-            }),
-            Message::StateTransferRequest => Some(Message::StateTransferResponse {
-                checkpoint: handle
-                    .as_single()
-                    .and_then(|certifier| certifier.latest_checkpoint_payload()),
-            }),
-            Message::Ping => Some(Message::Pong),
-            Message::Goodbye => {
-                session.closing = true;
-                None
-            }
+            },
+            Message::StateTransferRequest => match handle.as_single() {
+                Some(certifier) => Message::StateTransferResponse {
+                    checkpoint: certifier.latest_checkpoint_payload(),
+                },
+                // Answering `None` here would read as "never sealed".
+                None => Message::ErrorReply {
+                    unavailable: false,
+                    detail: "state transfer needs an unsharded certifier; \
+                             a sharded one has no single checkpoint"
+                        .into(),
+                },
+            },
+            Message::Ping => Message::Pong,
+            // Every earlier request has been answered: this thread answers
+            // in order, so the goodbye is the drain point.
+            Message::Goodbye => break,
             // Responses arriving at the server are a peer bug; answer with
             // a typed error instead of tearing the session down.
-            other => Some(Message::ErrorReply {
+            other => Message::ErrorReply {
                 unavailable: false,
                 detail: format!("unexpected {} at the certifier", other.label()),
-            }),
+            },
         };
-        if let Some(message) = reply {
-            session.framed.queue(
-                &Envelope {
-                    request_id: envelope.request_id,
-                    message,
-                },
-                metrics,
-            );
+        let envelope = Envelope {
+            request_id: envelope.request_id,
+            message: reply,
+        };
+        if framed
+            .send(&envelope, Instant::now() + REPLY_DEADLINE, metrics)
+            .is_err()
+        {
+            break;
         }
     }
-    session.framed.flush(metrics)?;
-    Ok(moved)
+    framed.close();
+    // Sessions that never completed the handshake were never counted.
+    if let Some(node) = node {
+        metrics.gauge_add(GaugeId::OpenSessions, -1);
+        metrics.emit(
+            Event::new(Component::Certifier, EventKind::SessionClose).node(node_index(&node)),
+        );
+    }
 }

@@ -1,26 +1,34 @@
 //! The client side of a certifier session: [`RemoteCertifier`].
 //!
 //! One `RemoteCertifier` manages one logical session from a replica to the
-//! certifier server.  It runs a small event loop on its own thread:
+//! certifier server.  Nothing in it polls; every thread sleeps until the
+//! event it waits for:
 //!
-//! * **dial + handshake** — connect, send [`Message::Hello`], wait for the
-//!   [`Message::HelloAck`]; only then is the session open (and counted in
-//!   the open-sessions gauge / event journal).
-//! * **send queue with backpressure** — callers enqueue requests into a
-//!   bounded queue; when it is full they wait briefly for space and
-//!   otherwise fail with `Unavailable` rather than buffering unboundedly.
+//! * **requests go straight onto the wire** — a caller registers a pending
+//!   slot, writes its frame onto the live connection under the send mutex
+//!   and sleeps on the `answered` condvar until its slot fills.  The write
+//!   blocks while the peer is behind (backpressure) and fails with
+//!   `Unavailable` at the request timeout rather than buffering without
+//!   bound.
+//! * **one reader thread per session** — dials, handshakes
+//!   ([`Message::Hello`] / [`Message::HelloAck`]; only then is the session
+//!   open and counted in the open-sessions gauge / event journal), then
+//!   blocks in receive and fills each pending slot as its response arrives.
 //! * **reconnect with backoff** — a lost connection fails every in-flight
 //!   request (the resilient workload driver absorbs the `Unavailable`s),
-//!   then redials with exponential backoff until the link heals, counting
-//!   [`CounterId::NetReconnects`].
-//! * **graceful close** — dropping the handle drains in-flight requests,
-//!   sends [`Message::Goodbye`] and joins the loop.
+//!   then the reader redials with exponential backoff (a timed wait on the
+//!   `answered` condvar, so close cuts it short) until the link heals,
+//!   counting [`CounterId::NetReconnects`].
+//! * **half-open detection** — a request that hears *no* inbound traffic
+//!   for [`SessionConfig::half_open_grace`] after it was sent hangs the
+//!   connection up, which wakes the reader into a redial.
+//! * **graceful close** — closing drains in-flight requests briefly, sends
+//!   [`Message::Goodbye`], hangs up (waking the reader) and joins it.
 //!
-//! The blocking request API on top implements
-//! [`CertifierService`], so a `CertifierHandle::Remote`
-//! (`tashkent_proxy`) makes the entire proxy stack — certification,
-//! bounded-staleness refresh, recovery catch-up — run over the wire
-//! unchanged.
+//! The blocking request API implements [`CertifierService`], so a
+//! `CertifierHandle::Remote` (`tashkent_proxy`) makes the entire proxy
+//! stack — certification, bounded-staleness refresh, recovery catch-up —
+//! run over the wire unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,8 +44,8 @@ use tashkent_common::{
 };
 use tashkent_proxy::CertifierService;
 
-use crate::message::{Envelope, Message};
-use crate::transport::{FramedConn, Transport};
+use crate::message::{node_index, to_frame, Envelope, Message};
+use crate::transport::{send_frame, Connection, FramedConn, Transport};
 
 /// Tuning knobs for one client session.
 #[derive(Debug, Clone)]
@@ -47,21 +55,18 @@ pub struct SessionConfig {
     /// The server endpoint to dial.
     pub endpoint: String,
     /// How long a caller waits for a response before giving up with
-    /// `Unavailable`.
+    /// `Unavailable`; also bounds how long its write may block.
     pub request_timeout: Duration,
     /// First reconnect delay; doubles up to [`SessionConfig::backoff_ceiling`].
     pub backoff_floor: Duration,
     /// Largest reconnect delay.
     pub backoff_ceiling: Duration,
-    /// Bounded send queue: callers beyond this wait for space, then fail.
-    pub send_queue_limit: usize,
-    /// Half-open link detector: if requests are in flight but *no* inbound
-    /// traffic arrives for this long, the session declares the return path
+    /// Half-open link detector: if a request hears *no* inbound traffic for
+    /// this long after it was sent, the session declares the return path
     /// dead and tears the connection down for a redial.  A one-way severed
     /// link never surfaces as a send error — the bytes just vanish — so
     /// without this the session would sit "connected" forever while every
-    /// request burned its full timeout.  Appended last so configurations
-    /// built field-by-field before it existed keep their meaning.
+    /// request burned its full timeout.
     pub half_open_grace: Duration,
 }
 
@@ -75,7 +80,6 @@ impl SessionConfig {
             request_timeout: Duration::from_secs(2),
             backoff_floor: Duration::from_millis(1),
             backoff_ceiling: Duration::from_millis(50),
-            send_queue_limit: 256,
             // At the request timeout a healthy server must long since have
             // answered *something*, so this can never fire spuriously.
             half_open_grace: Duration::from_secs(2),
@@ -83,20 +87,35 @@ impl SessionConfig {
     }
 }
 
-/// A pending request slot: `None` until the event loop fills it.
+/// A pending request slot: `None` until the reader (or a failure) fills it.
 type Slot = Option<Result<Message>>;
 
-#[derive(Default)]
 struct ClientState {
     next_id: u64,
-    outbound: Vec<Envelope>,
     pending: HashMap<u64, Slot>,
+    /// When the reader last received anything (half-open detection).
+    last_inbound: Instant,
+}
+
+/// The live connection's send half, behind the send mutex.
+#[derive(Default)]
+struct Link {
+    /// A handle on the current connection: written to by requesters once
+    /// the session is open, and closed to wake the reader.
+    conn: Option<Box<dyn Connection>>,
+    /// Bumped per dial, so a stale hang-up cannot hit a newer connection.
+    generation: u64,
 }
 
 struct Shared {
     state: Mutex<ClientState>,
-    /// Wakes requesters (a slot filled, or queue space freed).
+    /// Wakes requesters (a slot filled, the session opened or dropped) and
+    /// the reader's backoff (shutdown).
     answered: Condvar,
+    /// The send mutex.
+    link: Mutex<Link>,
+    /// `true` while the handshake has completed and `link` holds its
+    /// connection; only changed with `link` locked.
     connected: AtomicBool,
     shutdown: AtomicBool,
     last_system_version: AtomicU64,
@@ -106,7 +125,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Fails every in-flight request with `Unavailable` (connection lost).
+    /// Wakes everything waiting on `answered`.  Taking the state lock
+    /// first orders the wake after any waiter's check of a flag set
+    /// before this call, so no wake-up is lost.
+    fn notify(&self) {
+        drop(self.state.lock());
+        self.answered.notify_all();
+    }
+
+    /// Fails every unanswered request with `Unavailable`.
     fn fail_all_pending(&self, why: &str) {
         let mut state = self.state.lock();
         for slot in state.pending.values_mut() {
@@ -114,9 +141,63 @@ impl Shared {
                 *slot = Some(Err(Error::Unavailable(why.to_string())));
             }
         }
-        state.outbound.clear();
         drop(state);
         self.answered.notify_all();
+    }
+
+    /// Closes the current connection — only if it is still `generation`,
+    /// when one is given — so the reader wakes and tears the session down.
+    /// Returns `true` if a connection was hung up.
+    fn hang_up(&self, generation: Option<u64>) -> bool {
+        let mut link = self.link.lock();
+        if generation.is_some_and(|g| g != link.generation) {
+            return false;
+        }
+        let Some(conn) = link.conn.take() else {
+            return false;
+        };
+        conn.close();
+        self.connected.store(false, Ordering::Release);
+        drop(link);
+        self.notify();
+        true
+    }
+
+    /// Writes one frame onto the open session; returns the connection's
+    /// generation, or `None` if no session is open.
+    fn send(&self, frame: &[u8], deadline: Instant) -> Result<Option<u64>> {
+        let mut link = self.link.lock();
+        if !self.connected.load(Ordering::Acquire) {
+            return Ok(None);
+        }
+        let generation = link.generation;
+        let conn = link
+            .conn
+            .as_mut()
+            .expect("an open session has a connection");
+        if let Err(e) = send_frame(conn.as_mut(), frame, deadline, &self.metrics) {
+            drop(link);
+            // A failed write may have cut a frame short: the connection is
+            // unusable either way.
+            self.hang_up(Some(generation));
+            return Err(e);
+        }
+        Ok(Some(generation))
+    }
+
+    /// Waits until the session is (`up`) or is not connected, or `timeout`
+    /// passes; returns whether it got there.
+    fn wait_link(&self, up: bool, timeout: Duration) -> bool {
+        let until = Instant::now() + timeout;
+        let mut state = self.state.lock();
+        while self.connected.load(Ordering::Acquire) != up {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.answered.wait_for(&mut state, left);
+        }
+        true
     }
 }
 
@@ -128,36 +209,35 @@ pub struct RemoteCertifier {
 }
 
 impl RemoteCertifier {
-    /// Starts the session: spawns the event loop, which dials (and keeps
-    /// redialling) `config.endpoint` over `transport`.
+    /// Starts the session: spawns the reader thread, which dials (and
+    /// keeps redialling) `config.endpoint` over `transport`.
     #[must_use]
     pub fn start(
         config: SessionConfig,
         transport: Arc<dyn Transport>,
         metrics: Arc<MetricsRegistry>,
     ) -> Arc<RemoteCertifier> {
-        let node_index = config
-            .node
-            .rsplit('-')
-            .next()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(usize::from(u16::MAX));
         let shared = Arc::new(Shared {
-            state: Mutex::new(ClientState::default()),
+            state: Mutex::new(ClientState {
+                next_id: 0,
+                pending: HashMap::new(),
+                last_inbound: Instant::now(),
+            }),
             answered: Condvar::new(),
+            link: Mutex::new(Link::default()),
             connected: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             last_system_version: AtomicU64::new(0),
             last_floor: AtomicU64::new(0),
             metrics,
-            node_index,
+            node_index: node_index(&config.node),
         });
-        let loop_shared = Arc::clone(&shared);
-        let loop_config = config.clone();
+        let reader_shared = Arc::clone(&shared);
+        let reader_config = config.clone();
         let worker = thread::Builder::new()
             .name(format!("tknp-client-{}", config.node))
-            .spawn(move || event_loop(&loop_shared, &loop_config, transport.as_ref()))
-            .expect("spawn session event loop");
+            .spawn(move || run_session(&reader_shared, &reader_config, transport.as_ref()))
+            .expect("spawn session reader");
         Arc::new(RemoteCertifier {
             shared,
             config,
@@ -177,17 +257,13 @@ impl RemoteCertifier {
     ///
     /// `Unavailable` if the deadline passes without a handshake.
     pub fn wait_connected(&self, deadline: Duration) -> Result<()> {
-        let start = Instant::now();
-        while !self.is_connected() {
-            if start.elapsed() > deadline {
-                return Err(Error::Unavailable(format!(
-                    "session {} -> {} did not establish within {deadline:?}",
-                    self.config.node, self.config.endpoint
-                )));
-            }
-            thread::sleep(Duration::from_micros(200));
+        if self.shared.wait_link(true, deadline) {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::Unavailable(format!(
+            "session {} -> {} did not establish within {deadline:?}",
+            self.config.node, self.config.endpoint
+        )))
     }
 
     /// Waits until the session has *dropped* (half-open detection and
@@ -197,72 +273,101 @@ impl RemoteCertifier {
     ///
     /// `Unavailable` if the session is still up when the deadline passes.
     pub fn wait_disconnected(&self, deadline: Duration) -> Result<()> {
-        let start = Instant::now();
-        while self.is_connected() {
-            if start.elapsed() > deadline {
-                return Err(Error::Unavailable(format!(
-                    "session {} -> {} still connected after {deadline:?}",
-                    self.config.node, self.config.endpoint
-                )));
-            }
-            thread::sleep(Duration::from_micros(200));
+        if self.shared.wait_link(false, deadline) {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::Unavailable(format!(
+            "session {} -> {} still connected after {deadline:?}",
+            self.config.node, self.config.endpoint
+        )))
     }
 
     /// Sends one request and blocks for its response (or timeout).
     ///
+    /// A request issued while the session is (re)connecting waits for it,
+    /// and fails as soon as the reader gives that attempt up.
+    ///
     /// # Errors
     ///
-    /// `Unavailable` when the wire is down, the send queue stays full, or
-    /// the response does not arrive within the request timeout; server-side
-    /// failures are rebuilt from the [`Message::ErrorReply`].
+    /// `Unavailable` when the wire is down, the write cannot complete, or
+    /// the response does not arrive within the request timeout;
+    /// server-side failures are rebuilt from the [`Message::ErrorReply`].
     pub fn request(&self, message: Message) -> Result<Message> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(Error::Unavailable("session is shut down".into()));
         }
+        let deadline = Instant::now() + self.config.request_timeout;
+        let grace = self.config.half_open_grace;
         let id = {
             let mut state = self.shared.state.lock();
-            // Backpressure: wait (briefly) for queue space instead of
-            // growing without bound when the wire is slow or down.
-            let space_deadline = Instant::now() + self.config.request_timeout;
-            while state.outbound.len() >= self.config.send_queue_limit {
-                let remaining = space_deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(Error::Unavailable("session send queue is full".into()));
-                }
-                self.shared.answered.wait_for(&mut state, remaining);
-            }
             state.next_id += 1;
             let id = state.next_id;
             state.pending.insert(id, None);
-            state.outbound.push(Envelope {
-                request_id: id,
-                message,
-            });
             id
         };
-        let deadline = Instant::now() + self.config.request_timeout;
+        let frame = to_frame(&Envelope {
+            request_id: id,
+            message,
+        });
+        // When and on which connection the frame went out.
+        let mut sent: Option<(Instant, u64)> = None;
         let mut state = self.shared.state.lock();
         loop {
-            if let Some(slot) = state.pending.get_mut(&id) {
-                if slot.is_some() {
+            match state.pending.get_mut(&id) {
+                Some(slot) if slot.is_some() => {
                     let result = slot.take().expect("checked is_some");
                     state.pending.remove(&id);
                     return self.unwrap_reply(result);
                 }
-            } else {
-                return Err(Error::Unavailable("request slot vanished".into()));
+                Some(_) => {}
+                None => return Err(Error::Unavailable("request slot vanished".into())),
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            let now = Instant::now();
+            if now >= deadline {
                 state.pending.remove(&id);
                 return Err(Error::Unavailable(format!(
                     "request to {} timed out after {:?}",
                     self.config.endpoint, self.config.request_timeout
                 )));
             }
-            self.shared.answered.wait_for(&mut state, remaining);
+            let wake = match sent {
+                None if self.shared.connected.load(Ordering::Acquire) => {
+                    drop(state);
+                    let sent_at = Instant::now();
+                    let result = self.shared.send(&frame, deadline);
+                    state = self.shared.state.lock();
+                    match result {
+                        Ok(generation) => sent = generation.map(|g| (sent_at, g)),
+                        Err(e) => {
+                            state.pending.remove(&id);
+                            return Err(e);
+                        }
+                    }
+                    continue;
+                }
+                None => deadline,
+                Some((sent_at, generation)) => {
+                    // Half-open: nothing at all has come back for `grace`
+                    // while this request was in flight.
+                    let quiet_until = sent_at.max(state.last_inbound) + grace;
+                    if now >= quiet_until {
+                        state.pending.remove(&id);
+                        drop(state);
+                        let why = format!(
+                            "no response traffic for {grace:?} with requests in flight; \
+                             assuming a half-open link"
+                        );
+                        if self.shared.hang_up(Some(generation)) {
+                            self.shared.fail_all_pending(&why);
+                        }
+                        return Err(Error::Unavailable(why));
+                    }
+                    deadline.min(quiet_until)
+                }
+            };
+            self.shared
+                .answered
+                .wait_for(&mut state, wake.saturating_duration_since(now));
         }
     }
 
@@ -285,7 +390,9 @@ impl RemoteCertifier {
     ///
     /// # Errors
     ///
-    /// `Unavailable` when the wire is down.
+    /// `Unavailable` when the wire is down; `Protocol` when the certifier
+    /// cannot serve a state transfer (a sharded certifier has no single
+    /// checkpoint to ship).
     pub fn state_transfer(&self) -> Result<Option<Vec<u8>>> {
         match self.request(Message::StateTransferRequest)? {
             Message::StateTransferResponse { checkpoint } => Ok(checkpoint),
@@ -334,10 +441,31 @@ impl RemoteCertifier {
     }
 
     /// Shuts the session down: drains in-flight requests, says goodbye,
-    /// joins the event loop.  Idempotent.
+    /// hangs up and joins the reader.  Idempotent.
     pub fn close(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.answered.notify_all();
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::Release);
+        shared.notify();
+        // Give in-flight requests a moment to be answered.
+        let until = Instant::now() + DRAIN_DEADLINE;
+        let mut state = shared.state.lock();
+        while shared.connected.load(Ordering::Acquire)
+            && state.pending.values().any(Option::is_none)
+        {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            shared.answered.wait_for(&mut state, left);
+        }
+        drop(state);
+        let goodbye = to_frame(&Envelope {
+            request_id: 0,
+            message: Message::Goodbye,
+        });
+        let _ = shared.send(&goodbye, Instant::now() + DRAIN_DEADLINE);
+        // Also wakes a reader still in its handshake.
+        shared.hang_up(None);
         if let Some(worker) = self.worker.lock().take() {
             let _ = worker.join();
         }
@@ -394,48 +522,46 @@ impl CertifierService for RemoteCertifier {
     }
 }
 
-/// How long the event loop parks when a tick moved nothing.
-const IDLE_PARK: Duration = Duration::from_micros(100);
-
 /// How long a graceful close keeps draining in-flight requests.
 const DRAIN_DEADLINE: Duration = Duration::from_millis(50);
 
 /// How long the dialler waits for the `HelloAck`.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_millis(500);
 
-fn event_loop(shared: &Shared, config: &SessionConfig, transport: &dyn Transport) {
+/// The reader thread: (re)establishes the session and reads responses
+/// until shutdown.
+fn run_session(shared: &Shared, config: &SessionConfig, transport: &dyn Transport) {
     let mut backoff = config.backoff_floor;
     let mut sessions_opened = 0u64;
     while !shared.shutdown.load(Ordering::Acquire) {
-        // Phase 1: establish a session.
-        let conn = match establish(shared, config, transport) {
-            Some(conn) => conn,
-            None => {
-                shared.fail_all_pending("certifier wire is down");
-                // Back off, but keep watching the shutdown flag.
-                let until = Instant::now() + backoff;
-                while Instant::now() < until && !shared.shutdown.load(Ordering::Acquire) {
-                    thread::sleep(IDLE_PARK);
+        let Some((mut framed, generation)) = establish(shared, config, transport) else {
+            shared.fail_all_pending("certifier wire is down");
+            // Back off, but wake at once on shutdown.
+            let until = Instant::now() + backoff;
+            let mut state = shared.state.lock();
+            while !shared.shutdown.load(Ordering::Acquire) {
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
                 }
-                backoff = (backoff * 2).min(config.backoff_ceiling);
-                continue;
+                shared.answered.wait_for(&mut state, left);
             }
+            backoff = (backoff * 2).min(config.backoff_ceiling);
+            continue;
         };
         backoff = config.backoff_floor;
         sessions_opened += 1;
         if sessions_opened > 1 {
             shared.metrics.incr(CounterId::NetReconnects);
         }
-        shared.connected.store(true, Ordering::Release);
         shared.metrics.gauge_add(GaugeId::OpenSessions, 1);
         shared.metrics.emit(
             Event::new(Component::Proxy, EventKind::SessionOpen).node(shared.node_index),
         );
 
-        // Phase 2: pump the session until it breaks or we shut down.
-        let why = pump_session(shared, config, conn);
+        let why = read_responses(shared, &mut framed);
 
-        shared.connected.store(false, Ordering::Release);
+        shared.hang_up(Some(generation));
         shared.metrics.gauge_add(GaugeId::OpenSessions, -1);
         shared.metrics.emit(
             Event::new(Component::Proxy, EventKind::SessionClose).node(shared.node_index),
@@ -447,149 +573,81 @@ fn event_loop(shared: &Shared, config: &SessionConfig, transport: &dyn Transport
     shared.fail_all_pending("session is shut down");
 }
 
-/// Dials and completes the handshake; `None` on any failure (caller backs
-/// off and retries).
+/// Dials and completes the handshake, then opens the session for
+/// requesters; `None` on any failure (the caller backs off and retries).
 fn establish(
     shared: &Shared,
     config: &SessionConfig,
     transport: &dyn Transport,
-) -> Option<FramedConn> {
+) -> Option<(FramedConn, u64)> {
     let conn = transport.dial(&config.endpoint).ok()?;
-    let mut framed = FramedConn::new(conn);
-    framed.queue(
-        &Envelope {
-            request_id: 0,
-            message: Message::Hello {
-                node: config.node.clone(),
-            },
-        },
-        &shared.metrics,
-    );
-    let deadline = Instant::now() + HANDSHAKE_DEADLINE;
-    while Instant::now() < deadline && !shared.shutdown.load(Ordering::Acquire) {
-        framed.flush(&shared.metrics).ok()?;
-        for envelope in framed.poll(&shared.metrics).ok()? {
-            if matches!(envelope.message, Message::HelloAck { .. }) {
-                return Some(framed);
-            }
+    let handle = conn.try_clone().ok()?;
+    let generation = {
+        let mut link = shared.link.lock();
+        // Checked under the send mutex: `close` either sees this
+        // connection or we see its shutdown flag.
+        if shared.shutdown.load(Ordering::Acquire) {
+            return None;
         }
-        thread::sleep(IDLE_PARK);
+        link.generation += 1;
+        link.conn = Some(handle);
+        link.generation
+    };
+    let mut framed = FramedConn::new(conn);
+    if handshake(shared, config, &mut framed) {
+        let link = shared.link.lock();
+        if link.generation == generation && link.conn.is_some() {
+            shared.connected.store(true, Ordering::Release);
+            drop(link);
+            shared.notify();
+            return Some((framed, generation));
+        }
     }
+    shared.hang_up(Some(generation));
     None
 }
 
-/// Drives one established session; returns the reason it ended.
-fn pump_session(shared: &Shared, config: &SessionConfig, mut framed: FramedConn) -> String {
-    // Half-open link detection: a one-way cut of the wire never errors a
-    // send — bytes just vanish — so the pump watches for the *absence* of
-    // response traffic while requests are outstanding and declares the
-    // session dead after `half_open_grace`.  The timer only runs while
-    // something is awaited: an idle session owes us no traffic.
-    let mut waiting_since = Instant::now();
+/// Sends `Hello` and waits for the `HelloAck`.
+fn handshake(shared: &Shared, config: &SessionConfig, framed: &mut FramedConn) -> bool {
+    let deadline = Instant::now() + HANDSHAKE_DEADLINE;
+    let hello = Envelope {
+        request_id: 0,
+        message: Message::Hello {
+            node: config.node.clone(),
+        },
+    };
+    if framed.send(&hello, deadline, &shared.metrics).is_err() {
+        return false;
+    }
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            graceful_close(shared, &mut framed);
-            return "session is shut down".into();
-        }
-        let mut moved = false;
-
-        // Outbound: stage queued requests, then push bytes.
-        let has_pending = {
-            let mut state = shared.state.lock();
-            let queued: Vec<Envelope> = state.outbound.drain(..).collect();
-            let has_pending = state.pending.values().any(Option::is_none);
-            drop(state);
-            if !queued.is_empty() {
-                moved = true;
-                for envelope in &queued {
-                    framed.queue(envelope, &shared.metrics);
-                }
-                // Queue space freed: wake writers blocked on backpressure.
-                shared.answered.notify_all();
+        match framed.recv(Some(deadline), &shared.metrics) {
+            Ok(Some(envelope)) if matches!(envelope.message, Message::HelloAck { .. }) => {
+                return true;
             }
-            has_pending
-        };
-        if !has_pending {
-            waiting_since = Instant::now();
-        } else if waiting_since.elapsed() > config.half_open_grace {
-            return format!(
-                "no response traffic for {:?} with requests in flight; \
-                 assuming a half-open link",
-                config.half_open_grace
-            );
-        }
-        match framed.flush(&shared.metrics) {
-            Ok(flushed) => moved |= flushed,
-            Err(e) => return e.to_string(),
-        }
-
-        // Inbound: match responses to pending requests.
-        match framed.poll(&shared.metrics) {
-            Ok(envelopes) => {
-                if !envelopes.is_empty() {
-                    moved = true;
-                    waiting_since = Instant::now();
-                    let mut state = shared.state.lock();
-                    for envelope in envelopes {
-                        if let Some(slot) = state.pending.get_mut(&envelope.request_id) {
-                            *slot = Some(Ok(envelope.message));
-                        }
-                        // Responses to abandoned (timed-out) requests are
-                        // dropped on the floor, matching their caller.
-                    }
-                    drop(state);
-                    shared.answered.notify_all();
-                }
-            }
-            Err(e) => return e.to_string(),
-        }
-
-        if !moved {
-            thread::sleep(IDLE_PARK);
+            Ok(Some(_)) => {}
+            Ok(None) | Err(_) => return false,
         }
     }
 }
 
-/// Drains in-flight work briefly, then says goodbye.
-fn graceful_close(shared: &Shared, framed: &mut FramedConn) {
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while Instant::now() < deadline {
-        let drained = {
-            let state = shared.state.lock();
-            state.outbound.is_empty() && state.pending.is_empty()
-        } && framed.backlog() == 0;
-        if drained {
-            break;
-        }
-        let mut state = shared.state.lock();
-        let queued: Vec<Envelope> = state.outbound.drain(..).collect();
-        drop(state);
-        for envelope in &queued {
-            framed.queue(envelope, &shared.metrics);
-        }
-        if framed.flush(&shared.metrics).is_err() {
-            return;
-        }
-        if let Ok(envelopes) = framed.poll(&shared.metrics) {
-            let mut state = shared.state.lock();
-            for envelope in envelopes {
+/// Blocks in receive and fills pending slots until the connection breaks;
+/// returns the reason it did.
+fn read_responses(shared: &Shared, framed: &mut FramedConn) -> String {
+    loop {
+        match framed.recv(None, &shared.metrics) {
+            Ok(Some(envelope)) => {
+                let mut state = shared.state.lock();
+                state.last_inbound = Instant::now();
+                // Responses to abandoned (timed-out) requests are dropped
+                // on the floor, matching their caller.
                 if let Some(slot) = state.pending.get_mut(&envelope.request_id) {
                     *slot = Some(Ok(envelope.message));
                 }
+                drop(state);
+                shared.answered.notify_all();
             }
-            drop(state);
-            shared.answered.notify_all();
-        } else {
-            return;
+            Ok(None) => {}
+            Err(e) => return e.to_string(),
         }
-        thread::sleep(IDLE_PARK);
     }
-    framed.queue(
-        &Envelope {
-            request_id: 0,
-            message: Message::Goodbye,
-        },
-        &shared.metrics,
-    );
-    let _ = framed.flush(&shared.metrics);
 }

@@ -1,13 +1,18 @@
-//! The TCP transport: real non-blocking `std::net` sockets.
+//! The TCP transport: real blocking `std::net` sockets.
 //!
 //! Endpoints are socket addresses; listening on `127.0.0.1:0` binds a free
 //! port, and [`Listener::local_endpoint`] reports the actual address for
-//! clients to dial.  No async runtime is involved: sockets are put into
-//! non-blocking mode and the event loops poll them like any other
-//! [`Connection`].
+//! clients to dial.  No async runtime is involved: a receive is a blocking
+//! socket read under a read timeout (the caller's deadline), a send is a
+//! blocking write under a write timeout, and a second handle from
+//! [`Connection::try_clone`] is a duplicated socket, so one thread can
+//! block reading while another writes.  Closing shuts the socket down,
+//! which wakes a reader blocked on any handle of it.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use tashkent_common::{Error, Result};
 
@@ -29,54 +34,57 @@ impl Transport for TcpTransport {
     fn listen(&self, endpoint: &str) -> Result<Box<dyn Listener>> {
         let listener = TcpListener::bind(endpoint)
             .map_err(|e| Error::Io(format!("bind {endpoint}: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::Io(format!("set_nonblocking: {e}")))?;
         let local = listener
             .local_addr()
             .map_err(|e| Error::Io(format!("local_addr: {e}")))?
             .to_string();
-        Ok(Box::new(TcpListenerHandle { listener, local }))
+        Ok(Box::new(TcpListenerHandle {
+            listener,
+            local,
+            closed: AtomicBool::new(false),
+        }))
     }
 
     fn dial(&self, endpoint: &str) -> Result<Box<dyn Connection>> {
         let stream = TcpStream::connect(endpoint)
             .map_err(|e| Error::Unavailable(format!("connect {endpoint}: {e}")))?;
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| Error::Io(format!("set_nonblocking: {e}")))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| Error::Io(format!("set_nodelay: {e}")))?;
-        Ok(Box::new(TcpConn {
-            peer: endpoint.to_string(),
-            stream,
-        }))
+        TcpConn::boxed(endpoint.to_string(), stream)
     }
 }
 
 struct TcpListenerHandle {
     listener: TcpListener,
     local: String,
+    closed: AtomicBool,
 }
 
 impl Listener for TcpListenerHandle {
-    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>> {
-        match self.listener.accept() {
-            Ok((stream, addr)) => {
-                stream
-                    .set_nonblocking(true)
-                    .map_err(|e| Error::Io(format!("set_nonblocking: {e}")))?;
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| Error::Io(format!("set_nodelay: {e}")))?;
-                Ok(Some(Box::new(TcpConn {
-                    peer: addr.to_string(),
-                    stream,
-                })))
+    fn accept(&self) -> Result<Box<dyn Connection>> {
+        loop {
+            match self.listener.accept() {
+                _ if self.closed.load(Ordering::Acquire) => {
+                    return Err(Error::Unavailable(format!(
+                        "listener {} is closed",
+                        self.local
+                    )));
+                }
+                Ok((stream, addr)) => return TcpConn::boxed(addr.to_string(), stream),
+                // A dial that gave up before we got to it; wait for the next.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::ConnectionAborted | ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(Error::Unavailable(format!("accept: {e}"))),
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(Error::Unavailable(format!("accept: {e}"))),
+        }
+    }
+
+    fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            // `std` cannot interrupt a blocked accept, so dial ourselves
+            // once: the accept returns, sees the flag and fails.
+            let _ = TcpStream::connect(&self.local);
         }
     }
 
@@ -88,37 +96,109 @@ impl Listener for TcpListenerHandle {
 struct TcpConn {
     peer: String,
     stream: TcpStream,
+    /// The read timeout last set on the socket (`None` = not yet set by
+    /// this handle), so a reader that always waits without a deadline
+    /// pays for the socket option once.
+    read_timeout: Option<Option<Duration>>,
+}
+
+impl TcpConn {
+    fn boxed(peer: String, stream: TcpStream) -> Result<Box<dyn Connection>> {
+        stream
+            .set_nodelay(true)
+            .map_err(|e| Error::Io(format!("set_nodelay: {e}")))?;
+        Ok(Box::new(TcpConn {
+            peer,
+            stream,
+            read_timeout: None,
+        }))
+    }
+
+    fn lost(&self, what: &str, e: &std::io::Error) -> Error {
+        Error::Unavailable(format!("{what} {}: {e}", self.peer))
+    }
+}
+
+/// Time left until `deadline`, `None` once it has passed.
+fn remaining(deadline: Instant) -> Option<Duration> {
+    Some(deadline.saturating_duration_since(Instant::now())).filter(|d| !d.is_zero())
+}
+
+/// `true` for the errors a socket timeout or a signal produces.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
 }
 
 impl Connection for TcpConn {
-    fn try_send(&mut self, bytes: &[u8]) -> Result<usize> {
-        match self.stream.write(bytes) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(0),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(0),
-            Err(e) => Err(Error::Unavailable(format!(
-                "send to {}: {e}",
-                self.peer
-            ))),
+    fn send(&mut self, mut bytes: &[u8], deadline: Instant) -> Result<()> {
+        while !bytes.is_empty() {
+            let Some(left) = remaining(deadline) else {
+                return Err(Error::Unavailable(format!(
+                    "send to {} missed its deadline; the peer is not draining",
+                    self.peer
+                )));
+            };
+            self.stream
+                .set_write_timeout(Some(left))
+                .map_err(|e| self.lost("set_write_timeout for", &e))?;
+            match self.stream.write(bytes) {
+                Ok(0) => return Err(Error::Unavailable(format!("{} closed", self.peer))),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if timed_out(&e) => {}
+                Err(e) => return Err(self.lost("send to", &e)),
+            }
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<usize> {
+        loop {
+            let timeout = match deadline {
+                None => None,
+                Some(deadline) => match remaining(deadline) {
+                    Some(left) => Some(left),
+                    None => return Ok(0),
+                },
+            };
+            if self.read_timeout != Some(timeout) {
+                self.stream
+                    .set_read_timeout(timeout)
+                    .map_err(|e| self.lost("set_read_timeout for", &e))?;
+                self.read_timeout = Some(timeout);
+            }
+            match self.stream.read(buf) {
+                // A zero-byte read is EOF: the peer closed its end (or a
+                // local `close` shut the socket down).
+                Ok(0) => {
+                    return Err(Error::Unavailable(format!(
+                        "{} closed the connection",
+                        self.peer
+                    )))
+                }
+                Ok(n) => return Ok(n),
+                Err(e) if timed_out(&e) => {}
+                Err(e) => return Err(self.lost("recv from", &e)),
+            }
         }
     }
 
-    fn try_recv(&mut self, buf: &mut [u8]) -> Result<usize> {
-        match self.stream.read(buf) {
-            // A zero-byte read on a readable TCP socket is EOF: the peer
-            // closed its end (trait semantics reserve Ok(0) for would-block).
-            Ok(0) => Err(Error::Unavailable(format!(
-                "{} closed the connection",
-                self.peer
-            ))),
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(0),
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(0),
-            Err(e) => Err(Error::Unavailable(format!(
-                "recv from {}: {e}",
-                self.peer
-            ))),
-        }
+    fn try_clone(&self) -> Result<Box<dyn Connection>> {
+        let stream = self
+            .stream
+            .try_clone()
+            .map_err(|e| Error::Io(format!("clone socket to {}: {e}", self.peer)))?;
+        Ok(Box::new(TcpConn {
+            peer: self.peer.clone(),
+            stream,
+            read_timeout: None,
+        }))
+    }
+
+    fn close(&self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn peer(&self) -> String {
@@ -133,41 +213,63 @@ mod tests {
     #[test]
     fn localhost_round_trip_through_a_kernel_socket() {
         let transport = TcpTransport::new();
-        let mut listener = transport.listen("127.0.0.1:0").unwrap();
+        let listener = transport.listen("127.0.0.1:0").unwrap();
         let addr = listener.local_endpoint();
         assert!(addr.ends_with(|c: char| c.is_ascii_digit()));
         let mut client = transport.dial(&addr).unwrap();
+        let mut server = listener.accept().unwrap();
 
-        let server = loop {
-            if let Some(conn) = listener.try_accept().unwrap() {
-                break conn;
-            }
-            std::thread::yield_now();
-        };
-        let mut server = server;
-
-        assert_eq!(client.try_send(b"over tcp").unwrap(), 8);
+        let soon = Instant::now() + Duration::from_secs(2);
+        client.send(b"over tcp", soon).unwrap();
         let mut buf = [0u8; 16];
         let mut got = 0;
         while got < 8 {
-            got += server.try_recv(&mut buf[got..]).unwrap();
-            std::thread::yield_now();
+            got += server.recv(&mut buf[got..], Some(soon)).unwrap();
         }
         assert_eq!(&buf[..8], b"over tcp");
 
+        let now = Instant::now();
+        assert_eq!(
+            server.recv(&mut buf, Some(now)).unwrap(),
+            0,
+            "deadline passed"
+        );
+
         drop(client);
-        // The server side eventually observes the close as Unavailable.
-        let mut closed = false;
-        for _ in 0..1000 {
-            match server.try_recv(&mut buf) {
-                Err(e) if e.is_unavailable() => {
-                    closed = true;
-                    break;
-                }
-                _ => std::thread::sleep(std::time::Duration::from_millis(1)),
-            }
-        }
-        assert!(closed, "peer close must surface as Unavailable");
+        // The server side observes the close as Unavailable.
+        assert!(server
+            .recv(&mut buf, Some(soon))
+            .is_err_and(|e| e.is_unavailable()));
+    }
+
+    #[test]
+    fn close_wakes_a_reader_blocked_on_a_clone() {
+        let transport = TcpTransport::new();
+        let listener = transport.listen("127.0.0.1:0").unwrap();
+        let client = transport.dial(&listener.local_endpoint()).unwrap();
+        let _server = listener.accept().unwrap();
+        let mut reader = client.try_clone().unwrap();
+        let blocked = std::thread::spawn(move || {
+            let mut buf = [0u8; 4];
+            reader.recv(&mut buf, None)
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        client.close();
+        assert!(blocked.join().unwrap().is_err_and(|e| e.is_unavailable()));
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_accept() {
+        let transport = TcpTransport::new();
+        let listener: std::sync::Arc<dyn Listener> =
+            std::sync::Arc::from(transport.listen("127.0.0.1:0").unwrap());
+        let acceptor = {
+            let listener = std::sync::Arc::clone(&listener);
+            std::thread::spawn(move || listener.accept().map(|_| ()))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        listener.close();
+        assert!(acceptor.join().unwrap().is_err_and(|e| e.is_unavailable()));
     }
 
     #[test]

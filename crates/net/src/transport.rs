@@ -1,17 +1,27 @@
-//! Transport abstraction: poll-based, non-blocking byte pipes.
+//! Transport abstraction: blocking byte pipes with deadlines.
 //!
-//! The event loops ([`crate::session`], [`crate::server`]) are written
+//! The session threads ([`crate::session`], [`crate::server`]) are written
 //! against these three traits only, so the in-memory loopback transport and
 //! the TCP transport are interchangeable — `ClusterConfig::transport` picks
 //! one and nothing above this layer changes.
 //!
-//! All operations are non-blocking:
+//! Every operation blocks until it can make progress, and every blocking
+//! call can be woken from another thread:
 //!
-//! * `Ok(0)` from [`Connection::try_send`] / [`Connection::try_recv`] means
-//!   *would block* — nothing was moved, poll again later.
-//! * [`Error::Unavailable`](tashkent_common::Error::Unavailable) means the
-//!   connection is gone (peer closed, link severed, socket reset); the
-//!   caller must drop it and, if it owns the session, reconnect.
+//! * [`Connection::recv`] sleeps until bytes arrive, the deadline passes
+//!   (`Ok(0)`) or the connection closes; [`Connection::close`] on any handle
+//!   of the connection (see [`Connection::try_clone`]) wakes it.
+//! * [`Connection::send`] writes the whole buffer, waiting for the peer to
+//!   drain while it is behind (backpressure) — up to a deadline.
+//! * [`Listener::accept`] sleeps until a dial arrives;
+//!   [`Listener::close`] wakes it.
+//!
+//! [`Error::Unavailable`](tashkent_common::Error::Unavailable) means the
+//! connection is gone (peer closed, link severed, socket reset, or a send
+//! missed its deadline); the caller must drop it and, if it owns the
+//! session, reconnect.
+
+use std::time::Instant;
 
 use tashkent_common::{metrics::MetricsRegistry, CounterId, Result};
 
@@ -20,23 +30,38 @@ use crate::message::{decode_message, to_frame, Envelope};
 
 /// One established bidirectional byte stream.
 pub trait Connection: Send {
-    /// Attempts to write bytes; returns how many were accepted (`0` = would
-    /// block).
+    /// Writes all of `bytes`, waiting while the peer is behind.
     ///
     /// # Errors
     ///
     /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
-    /// connection is closed or its link severed.
-    fn try_send(&mut self, bytes: &[u8]) -> Result<usize>;
+    /// connection is closed or its link severed, or if `deadline` passes
+    /// before every byte was accepted.  A frame may then be cut short on
+    /// the wire, so the caller must close the connection.
+    fn send(&mut self, bytes: &[u8], deadline: Instant) -> Result<()>;
 
-    /// Attempts to read bytes into `buf`; returns how many arrived (`0` =
-    /// nothing available right now).
+    /// Waits for bytes and reads what arrived into `buf`; returns how many
+    /// (at least one), or `0` once `deadline` passes.  `None` waits until
+    /// bytes arrive or the connection closes.
     ///
     /// # Errors
     ///
     /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
     /// connection is closed or its link severed.
-    fn try_recv(&mut self, buf: &mut [u8]) -> Result<usize>;
+    fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<usize>;
+
+    /// A second handle on the same connection, so one thread can block in
+    /// [`Connection::recv`] while another sends or closes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`](tashkent_common::Error::Io) if the handle cannot be
+    /// duplicated.
+    fn try_clone(&self) -> Result<Box<dyn Connection>>;
+
+    /// Closes both directions now.  Every handle blocked in `send` or
+    /// `recv` wakes and fails, and the peer sees the close.
+    fn close(&self);
 
     /// The peer's endpoint name (loopback) or socket address (TCP), for
     /// logs and the session table.
@@ -44,14 +69,18 @@ pub trait Connection: Send {
 }
 
 /// A bound accept point.
-pub trait Listener: Send {
-    /// Accepts one pending connection if any (`None` = would block).
+pub trait Listener: Send + Sync {
+    /// Waits for the next dial and returns its connection.
     ///
     /// # Errors
     ///
-    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) if the
-    /// listener itself is closed.
-    fn try_accept(&mut self) -> Result<Option<Box<dyn Connection>>>;
+    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable) once the
+    /// listener is closed.
+    fn accept(&self) -> Result<Box<dyn Connection>>;
+
+    /// Closes the listener: a blocked [`Listener::accept`] wakes and fails,
+    /// and later dials are refused.  Idempotent.
+    fn close(&self);
 
     /// The endpoint this listener is reachable at.  For TCP bound to port
     /// `0` this is the *actual* address, so clients can dial it.
@@ -79,18 +108,30 @@ pub trait Transport: Send + Sync {
     fn dial(&self, endpoint: &str) -> Result<Box<dyn Connection>>;
 }
 
+/// Sends one encoded frame, counting it in the metrics registry
+/// ([`CounterId::NetBytesSent`], [`CounterId::NetMessages`]).
+pub(crate) fn send_frame(
+    conn: &mut dyn Connection,
+    frame: &[u8],
+    deadline: Instant,
+    metrics: &MetricsRegistry,
+) -> Result<()> {
+    conn.send(frame, deadline)?;
+    metrics.add(CounterId::NetBytesSent, frame.len() as u64);
+    metrics.incr(CounterId::NetMessages);
+    Ok(())
+}
+
 /// A [`Connection`] with framing and message accounting on top: the unit
-/// both event loops ([`crate::session`], [`crate::server`]) actually drive.
+/// both session threads ([`crate::session`], [`crate::server`]) read from.
 ///
-/// Outbound envelopes are encoded into a staging buffer and flushed as the
-/// peer accepts bytes; inbound bytes are reassembled into frames and decoded
-/// into envelopes.  Byte and message counters go to the cluster's metrics
-/// registry ([`CounterId::NetBytesSent`], [`CounterId::NetBytesReceived`],
+/// Inbound bytes are reassembled into frames and decoded into envelopes.
+/// Byte and message counters go to the cluster's metrics registry
+/// ([`CounterId::NetBytesSent`], [`CounterId::NetBytesReceived`],
 /// [`CounterId::NetMessages`]).
 pub struct FramedConn {
     conn: Box<dyn Connection>,
     reader: FrameReader,
-    out: Vec<u8>,
 }
 
 impl FramedConn {
@@ -100,7 +141,6 @@ impl FramedConn {
         FramedConn {
             conn,
             reader: FrameReader::new(),
-            out: Vec::new(),
         }
     }
 
@@ -110,61 +150,51 @@ impl FramedConn {
         self.conn.peer()
     }
 
-    /// Bytes staged but not yet accepted by the peer.
-    #[must_use]
-    pub fn backlog(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Stages one envelope for sending (flushed by [`FramedConn::flush`]).
-    pub fn queue(&mut self, envelope: &Envelope, metrics: &MetricsRegistry) {
-        self.out.extend_from_slice(&to_frame(envelope));
-        metrics.incr(CounterId::NetMessages);
-    }
-
-    /// Pushes staged bytes into the connection; returns `true` if any bytes
-    /// moved.
+    /// Encodes and sends one envelope.
     ///
     /// # Errors
     ///
-    /// Propagates the connection's
-    /// [`Error::Unavailable`](tashkent_common::Error::Unavailable).
-    pub fn flush(&mut self, metrics: &MetricsRegistry) -> Result<bool> {
-        let mut moved = false;
-        while !self.out.is_empty() {
-            let n = self.conn.try_send(&self.out)?;
-            if n == 0 {
-                break;
-            }
-            self.out.drain(0..n);
-            metrics.add(CounterId::NetBytesSent, n as u64);
-            moved = true;
-        }
-        Ok(moved)
+    /// Whatever [`Connection::send`] reports.
+    pub fn send(
+        &mut self,
+        envelope: &Envelope,
+        deadline: Instant,
+        metrics: &MetricsRegistry,
+    ) -> Result<()> {
+        send_frame(self.conn.as_mut(), &to_frame(envelope), deadline, metrics)
     }
 
-    /// Reads whatever the peer sent and returns the complete envelopes.
+    /// Waits for the next complete envelope; `None` once `deadline` passes
+    /// (never, for a `None` deadline).
     ///
     /// # Errors
     ///
     /// Propagates connection loss, and surfaces malformed frames or
     /// messages as their typed errors — the caller tears the session down.
-    pub fn poll(&mut self, metrics: &MetricsRegistry) -> Result<Vec<Envelope>> {
+    pub fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        metrics: &MetricsRegistry,
+    ) -> Result<Option<Envelope>> {
         let mut buf = [0u8; 16 * 1024];
         loop {
-            let n = self.conn.try_recv(&mut buf)?;
+            if let Some(payload) = self.reader.next_frame()? {
+                let mut bytes = bytes::Bytes::from(payload);
+                let envelope = decode_message(&mut bytes)?;
+                metrics.incr(CounterId::NetMessages);
+                return Ok(Some(envelope));
+            }
+            let n = self.conn.recv(&mut buf, deadline)?;
             if n == 0 {
-                break;
+                return Ok(None);
             }
             metrics.add(CounterId::NetBytesReceived, n as u64);
             self.reader.push(&buf[..n]);
         }
-        let mut envelopes = Vec::new();
-        while let Some(payload) = self.reader.next_frame()? {
-            let mut bytes = bytes::Bytes::from(payload);
-            envelopes.push(decode_message(&mut bytes)?);
-            metrics.incr(CounterId::NetMessages);
-        }
-        Ok(envelopes)
+    }
+
+    /// Closes the connection (see [`Connection::close`]).
+    pub fn close(&self) {
+        self.conn.close();
     }
 }

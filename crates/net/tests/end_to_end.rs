@@ -2,14 +2,18 @@
 //! certified against through a [`RemoteCertifier`] — over both transports.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tashkent_certifier::{Certifier, CertifierConfig, CertificationRequest};
+use tashkent_certifier::{
+    CertificationRequest, Certifier, CertifierConfig, ShardedCertifier, ShardedCertifierConfig,
+};
 use tashkent_common::{
     metrics::MetricsRegistry, Component, CounterId, EventKind, GaugeId, ReplicaId, TableId,
     TransportKind, Value, Version, WriteItem, WriteSet,
 };
-use tashkent_net::{ClusterNet, LoopbackNet, NetServer, RemoteCertifier, SessionConfig, TcpTransport};
+use tashkent_net::{
+    ClusterNet, LoopbackNet, NetServer, RemoteCertifier, SessionConfig, TcpTransport, Transport,
+};
 use tashkent_proxy::{CertifierHandle, CertifierService};
 
 fn ws(key: i64) -> WriteSet {
@@ -280,4 +284,135 @@ fn cluster_net_wires_replicas_and_links() {
         .iter()
         .any(|e| e.kind == EventKind::LinkFault));
     net.shutdown();
+}
+
+/// A server for `handle` plus one connected session, over `kind`.
+fn serve(kind: TransportKind, handle: CertifierHandle) -> (NetServer, Arc<RemoteCertifier>) {
+    let metrics = Arc::new(MetricsRegistry::enabled());
+    let (server_side, client_side, endpoint): (Box<dyn Transport>, Arc<dyn Transport>, &str) =
+        match kind {
+            TransportKind::Tcp => (
+                Box::new(TcpTransport::new()),
+                Arc::new(TcpTransport::new()),
+                "127.0.0.1:0",
+            ),
+            _ => {
+                let net = LoopbackNet::shared();
+                (
+                    Box::new(net.transport("certifier")),
+                    Arc::new(net.transport("replica-0")),
+                    "certifier",
+                )
+            }
+        };
+    let server = NetServer::start(
+        "certifier",
+        handle,
+        server_side.as_ref(),
+        endpoint,
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let client = RemoteCertifier::start(
+        SessionConfig::new("replica-0", server.endpoint()),
+        client_side,
+        metrics,
+    );
+    client.wait_connected(Duration::from_secs(2)).unwrap();
+    (server, client)
+}
+
+/// Timing-sensitive tests take this so they never share the CPU with each
+/// other.
+static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Regression bound for the wire round trip: 2 000 sequential pings must
+/// take under 200 ms on each transport — a mean of 100 µs per round trip.
+/// A session that parks on a timer anywhere on the path (client loop,
+/// server loop) cannot meet it.
+#[test]
+fn sequential_round_trips_wake_on_arrival() {
+    let _timed = TIMED
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for kind in [TransportKind::Tcp, TransportKind::Loopback] {
+        let (server, client) = serve(kind, single_handle());
+        client.ping().unwrap(); // warm the path
+        let start = Instant::now();
+        for _ in 0..2_000 {
+            client.ping().unwrap();
+        }
+        let took = start.elapsed();
+        client.close();
+        server.stop();
+        assert!(
+            took < Duration::from_millis(200),
+            "{kind:?}: 2000 round trips took {took:?} (bound 200 ms)"
+        );
+    }
+}
+
+/// Shutting a cluster's network down with an idle connected session must
+/// be prompt: nothing may stay blocked (a reader in receive, the server in
+/// accept) without something to wake it.
+#[test]
+fn cluster_net_shutdown_is_prompt_with_idle_sessions() {
+    let _timed = TIMED
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for kind in [TransportKind::Tcp, TransportKind::Loopback] {
+        for cycle in 0..50 {
+            let net = ClusterNet::start(
+                kind,
+                single_handle(),
+                2,
+                Arc::new(MetricsRegistry::enabled()),
+            )
+            .unwrap();
+            let handle = net.replica_handle(0);
+            let at = handle.system_version();
+            let response = handle
+                .certify(&CertificationRequest {
+                    replica: ReplicaId(0),
+                    start_version: at,
+                    writeset: ws(cycle),
+                    replica_version: at,
+                })
+                .unwrap();
+            assert!(response.decision.is_commit());
+            // Replica 1's session stays connected and idle throughout.
+            assert!(net.client(1).is_connected());
+            let start = Instant::now();
+            net.shutdown();
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{kind:?} cycle {cycle}: shutdown took {took:?} (bound 100 ms)"
+            );
+        }
+    }
+}
+
+#[test]
+fn state_transfer_from_a_sharded_certifier_is_a_typed_error() {
+    let sharded = CertifierHandle::Sharded(Arc::new(ShardedCertifier::new(
+        ShardedCertifierConfig::with_shards(2),
+    )));
+    for kind in [TransportKind::Loopback, TransportKind::Tcp] {
+        let (server, client) = serve(kind, sharded.clone());
+        let err = client
+            .state_transfer()
+            .expect_err("a sharded certifier has no single checkpoint to ship");
+        assert!(!err.is_unavailable(), "{kind:?}: not a wire failure: {err}");
+        assert!(err.to_string().contains("sharded"), "{kind:?}: {err}");
+        // The session survives the refusal.
+        assert!(commit(client.as_ref(), 1).value() > 0);
+        client.close();
+        server.stop();
+    }
+    // The unsharded certifier still answers "never sealed" as `None`.
+    let (server, client) = serve(TransportKind::Loopback, single_handle());
+    assert!(client.state_transfer().unwrap().is_none());
+    client.close();
+    server.stop();
 }
