@@ -144,7 +144,7 @@ pub enum TransportKind {
     /// are deterministic and fault-injectable (sever/heal/partition by
     /// seed) — the hook the fault harness uses for partition schedules.
     Loopback,
-    /// Real TCP sockets on localhost via non-blocking `std::net`.
+    /// Real TCP sockets on localhost via blocking `std::net`.
     Tcp,
 }
 

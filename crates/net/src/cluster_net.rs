@@ -45,7 +45,7 @@ pub struct ClusterNet {
     colocated: CertifierHandle,
     metrics: Arc<MetricsRegistry>,
     // Declared before `server` so sessions say goodbye while the server
-    // loop is still answering.
+    // is still answering.
     clients: Vec<Arc<RemoteCertifier>>,
     server: NetServer,
 }

@@ -641,6 +641,19 @@ mod tests {
     }
 
     #[test]
+    fn a_send_the_peer_never_drains_fails_at_its_deadline() {
+        let net = LoopbackNet::shared();
+        let (mut client, _server, _listener) = establish(&net);
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let result = client.send(&vec![0u8; PIPE_CAPACITY + 1], deadline);
+        assert!(result.is_err_and(|e| e.is_unavailable()));
+        assert!(
+            Instant::now() >= deadline,
+            "waited for room until the deadline"
+        );
+    }
+
+    #[test]
     fn listener_names_are_exclusive_until_dropped() {
         let net = LoopbackNet::shared();
         let t = net.transport("certifier");

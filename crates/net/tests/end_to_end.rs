@@ -328,8 +328,8 @@ static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Regression bound for the wire round trip: 2 000 sequential pings must
 /// take under 200 ms on each transport — a mean of 100 µs per round trip.
-/// A session that parks on a timer anywhere on the path (client loop,
-/// server loop) cannot meet it.
+/// A session that parks on a timer anywhere on the path (client or
+/// server side) cannot meet it.
 #[test]
 fn sequential_round_trips_wake_on_arrival() {
     let _timed = TIMED
