@@ -19,9 +19,11 @@
 //!   then the reader redials with exponential backoff (a timed wait on the
 //!   `answered` condvar, so close cuts it short) until the link heals,
 //!   counting [`CounterId::NetReconnects`].
-//! * **half-open detection** — a request that hears *no* inbound traffic
-//!   for [`SessionConfig::half_open_grace`] after it was sent hangs the
-//!   connection up, which wakes the reader into a redial.
+//! * **half-open detection** — a session-level quiet timer runs from the
+//!   first unanswered request on the connection and restarts on every
+//!   inbound frame; once it passes [`SessionConfig::half_open_grace`], the
+//!   next requester to look hangs the connection up, which wakes the
+//!   reader into a redial.
 //! * **graceful close** — closing drains in-flight requests briefly, sends
 //!   [`Message::Goodbye`], hangs up (waking the reader) and joins it.
 //!
@@ -61,12 +63,12 @@ pub struct SessionConfig {
     pub backoff_floor: Duration,
     /// Largest reconnect delay.
     pub backoff_ceiling: Duration,
-    /// Half-open link detector: if a request hears *no* inbound traffic for
-    /// this long after it was sent, the session declares the return path
-    /// dead and tears the connection down for a redial.  A one-way severed
-    /// link never surfaces as a send error — the bytes just vanish — so
-    /// without this the session would sit "connected" forever while every
-    /// request burned its full timeout.
+    /// Half-open link detector: if the session hears *no* inbound traffic
+    /// for this long while a request is unanswered, it declares the return
+    /// path dead and tears the connection down for a redial.  A one-way
+    /// severed link never surfaces as a send error — the bytes just vanish
+    /// — so without this the session would sit "connected" forever while
+    /// every request burned its full timeout.
     pub half_open_grace: Duration,
 }
 
@@ -93,8 +95,12 @@ type Slot = Option<Result<Message>>;
 struct ClientState {
     next_id: u64,
     pending: HashMap<u64, Slot>,
-    /// When the reader last received anything (half-open detection).
-    last_inbound: Instant,
+    /// Half-open detection: since when the current connection has owed a
+    /// response without delivering any inbound frame.  Set by the first
+    /// request sent while it is `None`; restarted by every inbound frame
+    /// while a request is still unanswered; cleared once none is (an idle
+    /// session owes no traffic) and when a connection opens.
+    awaiting_since: Option<Instant>,
 }
 
 /// The live connection's send half, behind the send mutex.
@@ -221,7 +227,7 @@ impl RemoteCertifier {
             state: Mutex::new(ClientState {
                 next_id: 0,
                 pending: HashMap::new(),
-                last_inbound: Instant::now(),
+                awaiting_since: None,
             }),
             answered: Condvar::new(),
             link: Mutex::new(Link::default()),
@@ -296,7 +302,8 @@ impl RemoteCertifier {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(Error::Unavailable("session is shut down".into()));
         }
-        let deadline = Instant::now() + self.config.request_timeout;
+        let issued = Instant::now();
+        let deadline = issued + self.config.request_timeout;
         let grace = self.config.half_open_grace;
         let id = {
             let mut state = self.shared.state.lock();
@@ -309,8 +316,10 @@ impl RemoteCertifier {
             request_id: id,
             message,
         });
-        // When and on which connection the frame went out.
-        let mut sent: Option<(Instant, u64)> = None;
+        // The connection the frame went out on.
+        let mut sent: Option<u64> = None;
+        // Whether the session was down when this request was issued.
+        let mut waited = false;
         let mut state = self.shared.state.lock();
         loop {
             match state.pending.get_mut(&id) {
@@ -323,8 +332,30 @@ impl RemoteCertifier {
                 None => return Err(Error::Unavailable("request slot vanished".into())),
             }
             let now = Instant::now();
+            // Half-open first: with the grace equal to the request timeout
+            // (the default) both fire together, and the hang-up must win,
+            // or a one-way cut would leave the session "connected" while
+            // every request burned its full timeout.
+            let quiet_until = state.awaiting_since.map(|since| since + grace);
+            if let (Some(generation), Some(quiet_until)) = (sent, quiet_until) {
+                if now >= quiet_until {
+                    state.pending.remove(&id);
+                    drop(state);
+                    let why = format!(
+                        "no response traffic for {grace:?} with requests in flight; \
+                         assuming a half-open link"
+                    );
+                    if self.shared.hang_up(Some(generation)) {
+                        self.shared.fail_all_pending(&why);
+                    }
+                    return Err(Error::Unavailable(why));
+                }
+            }
             if now >= deadline {
                 state.pending.remove(&id);
+                if !state.pending.values().any(Option::is_none) {
+                    state.awaiting_since = None;
+                }
                 return Err(Error::Unavailable(format!(
                     "request to {} timed out after {:?}",
                     self.config.endpoint, self.config.request_timeout
@@ -333,37 +364,31 @@ impl RemoteCertifier {
             let wake = match sent {
                 None if self.shared.connected.load(Ordering::Acquire) => {
                     drop(state);
-                    let sent_at = Instant::now();
+                    // Issued on an open session, the request has been
+                    // owed an answer since it was issued.
+                    let sent_at = if waited { Instant::now() } else { issued };
                     let result = self.shared.send(&frame, deadline);
                     state = self.shared.state.lock();
                     match result {
-                        Ok(generation) => sent = generation.map(|g| (sent_at, g)),
+                        Ok(generation) => sent = generation,
                         Err(e) => {
                             state.pending.remove(&id);
                             return Err(e);
                         }
                     }
+                    // Start the quiet timer unless it runs already, or the
+                    // answer has beaten us here (then nothing is owed).
+                    let unanswered = matches!(state.pending.get(&id), Some(None));
+                    if sent.is_some() && unanswered && state.awaiting_since.is_none() {
+                        state.awaiting_since = Some(sent_at);
+                    }
                     continue;
                 }
-                None => deadline,
-                Some((sent_at, generation)) => {
-                    // Half-open: nothing at all has come back for `grace`
-                    // while this request was in flight.
-                    let quiet_until = sent_at.max(state.last_inbound) + grace;
-                    if now >= quiet_until {
-                        state.pending.remove(&id);
-                        drop(state);
-                        let why = format!(
-                            "no response traffic for {grace:?} with requests in flight; \
-                             assuming a half-open link"
-                        );
-                        if self.shared.hang_up(Some(generation)) {
-                            self.shared.fail_all_pending(&why);
-                        }
-                        return Err(Error::Unavailable(why));
-                    }
-                    deadline.min(quiet_until)
+                None => {
+                    waited = true;
+                    deadline
                 }
+                Some(_) => quiet_until.map_or(deadline, |q| deadline.min(q)),
             };
             self.shared
                 .answered
@@ -597,6 +622,8 @@ fn establish(
     if handshake(shared, config, &mut framed) {
         let link = shared.link.lock();
         if link.generation == generation && link.conn.is_some() {
+            // Nothing is owed on a fresh connection.
+            shared.state.lock().awaiting_since = None;
             shared.connected.store(true, Ordering::Release);
             drop(link);
             shared.notify();
@@ -637,12 +664,18 @@ fn read_responses(shared: &Shared, framed: &mut FramedConn) -> String {
         match framed.recv(None, &shared.metrics) {
             Ok(Some(envelope)) => {
                 let mut state = shared.state.lock();
-                state.last_inbound = Instant::now();
                 // Responses to abandoned (timed-out) requests are dropped
                 // on the floor, matching their caller.
                 if let Some(slot) = state.pending.get_mut(&envelope.request_id) {
                     *slot = Some(Ok(envelope.message));
                 }
+                // The link delivered: restart the quiet timer if anything
+                // is still owed, stop it otherwise.
+                state.awaiting_since = state
+                    .pending
+                    .values()
+                    .any(Option::is_none)
+                    .then(Instant::now);
                 drop(state);
                 shared.answered.notify_all();
             }

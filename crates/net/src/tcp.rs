@@ -12,8 +12,10 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use tashkent_common::{Error, Result};
 
 use crate::transport::{Connection, Listener, Transport};
@@ -93,13 +95,25 @@ impl Listener for TcpListenerHandle {
     }
 }
 
+/// How far a blocked write may outlast its deadline before the socket's
+/// write timeout is cut down to match.  Sends carry deadlines a fixed time
+/// ahead, so within this slack one setting serves them all.
+const WRITE_TIMEOUT_SLACK: Duration = Duration::from_millis(5);
+
+/// The timeouts last set on a socket (`None` = never set), shared by every
+/// handle on it — the handles are one socket, so they share its options —
+/// so that sends and receives pay for a socket option only when it must
+/// change.
+#[derive(Default)]
+struct SocketTimeouts {
+    read: Mutex<Option<Option<Duration>>>,
+    write: Mutex<Option<Duration>>,
+}
+
 struct TcpConn {
     peer: String,
     stream: TcpStream,
-    /// The read timeout last set on the socket (`None` = not yet set by
-    /// this handle), so a reader that always waits without a deadline
-    /// pays for the socket option once.
-    read_timeout: Option<Option<Duration>>,
+    timeouts: Arc<SocketTimeouts>,
 }
 
 impl TcpConn {
@@ -110,7 +124,7 @@ impl TcpConn {
         Ok(Box::new(TcpConn {
             peer,
             stream,
-            read_timeout: None,
+            timeouts: Arc::default(),
         }))
     }
 
@@ -134,6 +148,9 @@ fn timed_out(e: &std::io::Error) -> bool {
 
 impl Connection for TcpConn {
     fn send(&mut self, mut bytes: &[u8], deadline: Instant) -> Result<()> {
+        // Set once a write timed out early, so the retry waits out exactly
+        // the time that is left instead of waking on a shorter old timeout.
+        let mut retry = false;
         while !bytes.is_empty() {
             let Some(left) = remaining(deadline) else {
                 return Err(Error::Unavailable(format!(
@@ -141,13 +158,19 @@ impl Connection for TcpConn {
                     self.peer
                 )));
             };
-            self.stream
-                .set_write_timeout(Some(left))
-                .map_err(|e| self.lost("set_write_timeout for", &e))?;
+            {
+                let mut set = self.timeouts.write.lock();
+                if retry || set.is_none_or(|t| t > left + WRITE_TIMEOUT_SLACK) {
+                    self.stream
+                        .set_write_timeout(Some(left))
+                        .map_err(|e| self.lost("set_write_timeout for", &e))?;
+                    *set = Some(left);
+                }
+            }
             match self.stream.write(bytes) {
                 Ok(0) => return Err(Error::Unavailable(format!("{} closed", self.peer))),
                 Ok(n) => bytes = &bytes[n..],
-                Err(e) if timed_out(&e) => {}
+                Err(e) if timed_out(&e) => retry = true,
                 Err(e) => return Err(self.lost("send to", &e)),
             }
         }
@@ -163,11 +186,14 @@ impl Connection for TcpConn {
                     None => return Ok(0),
                 },
             };
-            if self.read_timeout != Some(timeout) {
-                self.stream
-                    .set_read_timeout(timeout)
-                    .map_err(|e| self.lost("set_read_timeout for", &e))?;
-                self.read_timeout = Some(timeout);
+            {
+                let mut set = self.timeouts.read.lock();
+                if *set != Some(timeout) {
+                    self.stream
+                        .set_read_timeout(timeout)
+                        .map_err(|e| self.lost("set_read_timeout for", &e))?;
+                    *set = Some(timeout);
+                }
             }
             match self.stream.read(buf) {
                 // A zero-byte read is EOF: the peer closed its end (or a
@@ -193,7 +219,7 @@ impl Connection for TcpConn {
         Ok(Box::new(TcpConn {
             peer: self.peer.clone(),
             stream,
-            read_timeout: None,
+            timeouts: Arc::clone(&self.timeouts),
         }))
     }
 
@@ -270,6 +296,28 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         listener.close();
         assert!(acceptor.join().unwrap().is_err_and(|e| e.is_unavailable()));
+    }
+
+    #[test]
+    fn a_send_the_peer_never_drains_fails_at_its_deadline() {
+        let transport = TcpTransport::new();
+        let listener = transport.listen("127.0.0.1:0").unwrap();
+        let mut client = transport.dial(&listener.local_endpoint()).unwrap();
+        let _server = listener.accept().unwrap();
+        // A send with a far deadline leaves a long write timeout behind;
+        // a later send with a near one must still fail at *its* deadline.
+        client
+            .send(b"warm", Instant::now() + Duration::from_secs(10))
+            .unwrap();
+        let start = Instant::now();
+        let flood = vec![0u8; 64 << 20];
+        let result = client.send(&flood, start + Duration::from_millis(100));
+        let took = start.elapsed();
+        assert!(result.is_err_and(|e| e.is_unavailable()));
+        assert!(
+            took >= Duration::from_millis(100) && took < Duration::from_secs(2),
+            "failed after {took:?}, deadline 100 ms"
+        );
     }
 
     #[test]

@@ -244,6 +244,39 @@ fn half_open_link_is_detected_and_session_recovers_after_heal() {
     client.close();
 }
 
+/// The cluster builds its sessions from `SessionConfig::new`, whose grace
+/// equals the request timeout.  A one-way cut must still tear the session
+/// down by the time the first unanswered request gives up — not leave it
+/// "connected" while every later request burns its full timeout too.
+#[test]
+fn half_open_link_is_detected_with_the_cluster_defaults() {
+    let net = ClusterNet::start(
+        TransportKind::Loopback,
+        single_handle(),
+        1,
+        Arc::new(MetricsRegistry::enabled()),
+    )
+    .unwrap();
+    let handle = net.replica_handle(0);
+    for (key, to_certifier) in [(1, false), (2, true)] {
+        let at = handle.system_version();
+        assert!(net.sever_certifier_link_one_way(0, to_certifier));
+        let result = handle.certify(&CertificationRequest {
+            replica: ReplicaId(0),
+            start_version: at,
+            writeset: ws(key),
+            replica_version: at,
+        });
+        assert!(result.is_err_and(|e| e.is_unavailable()));
+        net.client(0)
+            .wait_disconnected(Duration::from_millis(200))
+            .unwrap_or_else(|e| panic!("to_certifier={to_certifier}: {e}"));
+        assert!(net.heal_all_links());
+        net.client(0).wait_connected(Duration::from_secs(2)).unwrap();
+    }
+    net.shutdown();
+}
+
 #[test]
 fn cluster_net_wires_replicas_and_links() {
     let metrics = Arc::new(MetricsRegistry::enabled());
