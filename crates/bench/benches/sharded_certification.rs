@@ -2,10 +2,8 @@
 //!
 //! Hammers the [`ShardedCertifier`] from several worker threads with
 //! pre-generated writeset traces and compares shard counts 1 / 2 / 4.  The
-//! single-shard configuration is decision-identical to the unsharded
-//! certifier (see `tests/sharded_equivalence.rs`), so `shards=1` doubles as
-//! the unsharded baseline; the acceptance bar for the sharding PR is that at
-//! least one sharded configuration certifies no slower than it.
+//! single-shard configuration is the paper's single certifier, so `shards=1`
+//! is the unsharded baseline the sharded configurations are compared with.
 //!
 //! Requests carry a lagged start version, so every certification performs a
 //! real intersection scan over the recent log suffix — the work sharding
@@ -229,12 +227,8 @@ fn bench_events_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shard sweep, run twice: `batch=on` (epoch-drained, pre-screened
-/// certification — the default) against `batch=off` (the serial
-/// one-writeset-at-a-time scan, i.e. the pre-batching baseline).  The
-/// batching PR's scoreboard compares the two per trace × shard count; its
-/// acceptance bar is a measurable win for `batch=on` at 4 shards on the
-/// allupdates trace.
+/// The shard sweep: 1 / 2 / 4 shards per trace, single-shard writesets
+/// drained through each shard's epoch queue with the footprint pre-screen.
 fn bench_sharded(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_certification");
     // The 4-thread batch runs on whatever cores the container grants (often
@@ -249,20 +243,17 @@ fn bench_sharded(c: &mut Criterion) {
     ] {
         let trace = Arc::new(trace);
         for shards in [1usize, 2, 4] {
-            for batch in [true, false] {
-                let mut config = ShardedCertifierConfig::with_shards(shards);
-                config.base.batch = batch;
-                let certifier = Arc::new(ShardedCertifier::new(config));
-                let cursor = AtomicUsize::new(0);
-                let mode = if batch { "batch=on" } else { "batch=off" };
-                group.bench_with_input(
-                    BenchmarkId::new(trace_name, format!("shards={shards}/{mode}")),
-                    &shards,
-                    |b, _| {
-                        b.iter(|| certify_batch(&certifier, &trace, &cursor, lag));
-                    },
-                );
-            }
+            let certifier = Arc::new(ShardedCertifier::new(ShardedCertifierConfig::with_shards(
+                shards,
+            )));
+            let cursor = AtomicUsize::new(0);
+            group.bench_with_input(
+                BenchmarkId::new(trace_name, format!("shards={shards}")),
+                &shards,
+                |b, _| {
+                    b.iter(|| certify_batch(&certifier, &trace, &cursor, lag));
+                },
+            );
         }
     }
     group.finish();

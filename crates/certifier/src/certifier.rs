@@ -1,10 +1,8 @@
-//! The certifier façade used by replica proxies.
+//! The certifier's request / response vocabulary and configuration.
 //!
-//! [`Certifier`] combines the in-memory certified-writeset log
-//! ([`CertifierLog`]), the majority-replicated durable log
-//! ([`ReplicatedLog`]) and the certification policy (including the forced
-//! abort rates used by the Section 9.5 experiment) behind the exact request /
-//! response interface of Section 6.1:
+//! These are the types of the exact interface of Section 6.1, shared by the
+//! in-process [`ShardedCertifier`](crate::ShardedCertifier), the proxies and
+//! the wire protocol:
 //!
 //! * request: `(T.tx_start_version, T.writeset)` plus the replica's current
 //!   version so the certifier knows which remote writesets the replica has
@@ -13,24 +11,17 @@
 //!   transaction's commit version — extended, for Tashkent-API, with the
 //!   version down to which each remote writeset is conflict-free
 //!   (Section 5.2.1).
+//!
+//! The checkpoint payload codec (a truncation floor plus the log entries
+//! above it) also lives here.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use tashkent_common::metrics::{CounterId, GaugeId, Stage};
-use tashkent_common::{
-    Component, Error, Event, EventKind, MetricsRegistry, ReplicaId, Result, Version, WriteSet,
-};
-use tashkent_storage::checkpoint::CheckpointStore;
+use tashkent_common::{Error, MetricsRegistry, ReplicaId, Result, Version, WriteSet};
 use tashkent_storage::disk::DiskConfig;
 use tashkent_storage::wal::WalRecord;
 
-use crate::batch::{EpochQueue, Slot};
-use crate::log::CertifierLog;
-use crate::paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};
+use crate::paxos::ReplicatedLogStats;
 
 /// Encodes a certifier checkpoint payload: the truncation floor followed by
 /// the log entries above it, each framed as a WAL commit record (the same
@@ -103,11 +94,6 @@ pub struct CertifierConfig {
     /// Cluster metrics registry this certifier reports into.  Standalone
     /// certifiers default to a disabled (no-op) registry.
     pub metrics: Arc<MetricsRegistry>,
-    /// Whether certification drains batched epochs with a footprint
-    /// pre-screen (the default) or runs the serial one-writeset-at-a-time
-    /// scan.  Decisions are identical either way; the flag exists so the
-    /// benches can compare the two and so a regression can be bisected.
-    pub batch: bool,
 }
 
 impl Default for CertifierConfig {
@@ -119,7 +105,6 @@ impl Default for CertifierConfig {
             forced_abort_rate: 0.0,
             seed: 0x7A5B_0001,
             metrics: Arc::new(MetricsRegistry::disabled()),
-            batch: true,
         }
     }
 }
@@ -196,7 +181,8 @@ pub struct CertificationResponse {
     pub system_version: Version,
 }
 
-/// Counters exposed by [`Certifier::stats`].
+/// Certification counters in the shape proxies and clusters render
+/// (see [`ShardedCertifierStats::aggregate`](crate::ShardedCertifierStats::aggregate)).
 #[derive(Debug, Clone, Default)]
 pub struct CertifierStats {
     /// Certification requests processed.
@@ -211,675 +197,13 @@ pub struct CertifierStats {
     pub log: ReplicatedLogStats,
 }
 
-struct CertifierInner {
-    log: CertifierLog,
-    rng: StdRng,
-    requests: u64,
-    commits: u64,
-    conflict_aborts: u64,
-    forced_aborts: u64,
-}
-
-/// A certification decision stripped of its remote-writeset stream: what an
-/// epoch leader hands back to each submitting caller, which then assembles
-/// its own [`CertificationResponse`] (the remote-stream gather — the
-/// per-replica part of the response — stays on the caller's thread).
-#[derive(Debug, Clone)]
-pub(crate) struct Decided {
-    pub(crate) decision: CertificationDecision,
-    pub(crate) commit_version: Option<Version>,
-    /// The system version at decision time; for commits this equals the
-    /// commit version, for aborts the version the log stood at.
-    pub(crate) system_version: Version,
-}
-
-/// A certify waiting in an epoch: the slot its decision resolves through.
-pub(crate) type DecisionSlot = Arc<Slot<Result<Decided>>>;
-
-impl Decided {
-    /// The upper bound of the remote stream owed to the requester: one below
-    /// its own commit for commits (the certifier never resends a replica its
-    /// own writeset), the decision-time system version for aborts.
-    pub(crate) fn remote_bound(&self) -> Version {
-        self.commit_version
-            .map_or(self.system_version, |commit| commit.prev())
-    }
-}
-
-/// The certifier component shared by every replica proxy in a cluster.
-pub struct Certifier {
-    inner: Mutex<CertifierInner>,
-    replicated: ReplicatedLog,
-    checkpoints: CheckpointStore,
-    forced_abort_rate: f64,
-    metrics: Arc<MetricsRegistry>,
-    /// Present when batched certification is enabled (the default).
-    batcher: Option<EpochQueue<CertificationRequest, Result<Decided>>>,
-}
-
-impl std::fmt::Debug for Certifier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Certifier")
-            .field("system_version", &self.system_version())
-            .finish()
-    }
-}
-
-impl Certifier {
-    /// Creates a certifier group.
-    #[must_use]
-    pub fn new(config: CertifierConfig) -> Self {
-        Certifier {
-            inner: Mutex::new(CertifierInner {
-                log: CertifierLog::new(),
-                rng: StdRng::seed_from_u64(config.seed),
-                requests: 0,
-                commits: 0,
-                conflict_aborts: 0,
-                forced_aborts: 0,
-            }),
-            replicated: ReplicatedLog::new(config.nodes, config.disk, config.durable),
-            checkpoints: CheckpointStore::new(),
-            forced_abort_rate: config.forced_abort_rate.clamp(0.0, 1.0),
-            metrics: config.metrics,
-            batcher: config.batch.then(EpochQueue::new),
-        }
-    }
-
-    /// Rebuilds a certifier from previously durable log entries (certifier
-    /// recovery: the in-memory log is reconstructed from the persistent log
-    /// or from a state transfer, Section 7.3).
-    #[must_use]
-    pub fn from_entries(config: CertifierConfig, entries: &[(Version, WriteSet)]) -> Self {
-        let certifier = Certifier::new(config);
-        {
-            let mut inner = certifier.inner.lock();
-            for (version, writeset) in entries {
-                inner.log.append_at(*version, std::sync::Arc::new(writeset.clone()));
-            }
-        }
-        for (version, writeset) in entries {
-            // Re-persist so the new group's disks hold the full log.
-            let _ = certifier.replicated.append(*version, writeset);
-        }
-        certifier
-    }
-
-    /// Bootstraps a certifier from a sealed checkpoint image plus the log
-    /// suffix committed after it (record-range incremental state transfer:
-    /// the joiner fetches the newest checkpoint and only the records past
-    /// it, not the full history).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corruption`] if the checkpoint payload fails its
-    /// frame checks.
-    pub fn from_checkpoint(
-        config: CertifierConfig,
-        checkpoint_payload: &[u8],
-        suffix: &[(Version, WriteSet)],
-    ) -> Result<Self> {
-        let (floor, entries) = decode_checkpoint_payload(checkpoint_payload)?;
-        // Versions at or below the image's newest entry (or its floor, if
-        // the image is empty) are already covered; only newer suffix records
-        // are applied.
-        let covered = entries.last().map_or(floor, |(last, _)| *last);
-        let tail = suffix.iter().filter(|(version, _)| *version > covered);
-        let certifier = Certifier::new(config);
-        {
-            let mut inner = certifier.inner.lock();
-            inner.log.restore_floor(floor);
-            for (version, writeset) in entries.iter().chain(tail.clone()) {
-                inner.log.append_at(*version, Arc::new(writeset.clone()));
-            }
-        }
-        // Re-persist the entries above the floor so the new group's disks
-        // hold exactly the retained suffix.
-        for (version, writeset) in entries.iter().chain(tail) {
-            let _ = certifier.replicated.append(*version, writeset);
-        }
-        certifier.replicated.truncate_below(floor)?;
-        // The transferred image authorizes the restored floor.
-        certifier
-            .checkpoints
-            .seal(certifier.system_version(), checkpoint_payload);
-        Ok(certifier)
-    }
-
-    /// Seals a durable checkpoint of the certified log: the current
-    /// truncation floor plus every entry above it, stored as a versioned,
-    /// checksummed image behind an atomic manifest flip.  Returns the
-    /// version the checkpoint covers up to.
-    pub fn seal_checkpoint(&self) -> Version {
-        let (version, payload) = {
-            let inner = self.inner.lock();
-            let floor = inner.log.floor();
-            let entries = inner.log.entries_after(floor);
-            (
-                inner.log.system_version(),
-                encode_checkpoint_payload(floor, &entries),
-            )
-        };
-        self.checkpoints.seal(version, &payload);
-        version
-    }
-
-    /// Drops log entries at or below `watermark` from the in-memory log and
-    /// every up node's durable log.  The watermark is clamped to the newest
-    /// sealed checkpoint version, so no record is ever dropped before a
-    /// checkpoint covers it.  Returns the number of in-memory entries
-    /// discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates durable-log rewrite failures.
-    pub fn truncate_below(&self, watermark: Version) -> Result<usize> {
-        let bound = watermark.min(self.checkpoints.latest_version());
-        if bound.is_zero() {
-            return Ok(0);
-        }
-        let dropped = {
-            let mut inner = self.inner.lock();
-            inner.log.truncate_up_to(bound)
-        };
-        // New appends are strictly above `bound` (the floor carries the
-        // system version), so trimming the durable log outside the in-memory
-        // lock cannot race a record back below the floor.
-        self.replicated.truncate_below(bound)?;
-        Ok(dropped)
-    }
-
-    /// The truncation floor: certification requests whose snapshot lies
-    /// below it can no longer be checked and are conservatively aborted.
-    #[must_use]
-    pub fn truncation_floor(&self) -> Version {
-        self.inner.lock().log.floor()
-    }
-
-    /// The version covered by the newest sealed checkpoint
-    /// ([`Version::ZERO`] before the first seal).
-    #[must_use]
-    pub fn checkpoint_version(&self) -> Version {
-        self.checkpoints.latest_version()
-    }
-
-    /// The newest sealed checkpoint image's payload, if any (state transfer
-    /// to a joining certifier).
-    #[must_use]
-    pub fn latest_checkpoint_payload(&self) -> Option<Vec<u8>> {
-        self.checkpoints.latest().map(|sealed| sealed.payload)
-    }
-
-    /// Number of entries currently held in the in-memory certified log
-    /// (bounded-memory assertions).
-    #[must_use]
-    pub fn log_len(&self) -> usize {
-        self.inner.lock().log.len()
-    }
-
-    /// The global system version (number of committed update transactions).
-    #[must_use]
-    pub fn system_version(&self) -> Version {
-        self.inner.lock().log.system_version()
-    }
-
-    /// `true` if a majority of certifier nodes is up.
-    #[must_use]
-    pub fn is_available(&self) -> bool {
-        self.replicated.is_available()
-    }
-
-    /// The current leader node.
-    #[must_use]
-    pub fn leader(&self) -> CertifierNodeId {
-        self.replicated.leader()
-    }
-
-    /// Total number of nodes in the certifier group.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.replicated.node_count()
-    }
-
-    /// The nodes currently up, in node-id order (fault targeting).
-    #[must_use]
-    pub fn up_nodes(&self) -> Vec<CertifierNodeId> {
-        self.replicated.up_nodes()
-    }
-
-    /// Crashes one certifier node (fault injection).
-    pub fn crash_node(&self, node: CertifierNodeId) {
-        self.replicated.crash_node(node);
-    }
-
-    /// Recovers a crashed certifier node via state transfer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Unavailable`] if no up node can donate the log.
-    pub fn recover_node(&self, node: CertifierNodeId) -> Result<()> {
-        self.replicated.recover_node(node)
-    }
-
-    /// Certifies an update transaction (Section 6.1 pseudo-code).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Unavailable`] if fewer than a majority of certifier
-    /// nodes are up; certification *decisions* (including aborts) are
-    /// reported in the response, not as errors.
-    pub fn certify(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
-        if !self.replicated.is_available() {
-            return Err(Error::Unavailable(
-                "certifier majority not available".into(),
-            ));
-        }
-        // Inbox depth: requests currently inside certification.
-        let _inflight = self.metrics.gauge_guard(GaugeId::CertifierInflight);
-        if let Some(batcher) = &self.batcher {
-            let decided = batcher.submit(request.clone(), |epoch| self.process_epoch(epoch))?;
-            // The remote-stream gather runs on the submitting thread, bounded
-            // by the decision-time version so the response is identical to
-            // the serial scan's (which gathers under the decision lock).
-            let remote_writesets =
-                self.remotes_between(request, decided.remote_bound())?;
-            return Ok(CertificationResponse {
-                decision: decided.decision,
-                commit_version: decided.commit_version,
-                remote_writesets,
-                system_version: decided.system_version,
-            });
-        }
-        self.certify_serial(request)
-    }
-
-    /// The serial (pre-batching) certification path, kept as the `batch:
-    /// false` baseline and as the reference the equivalence tests compare
-    /// against.
-    fn certify_serial(&self, request: &CertificationRequest) -> Result<CertificationResponse> {
-        let mut inner = self.inner.lock();
-        let floor = inner.log.floor();
-        if request.replica_version < floor {
-            // The records in (replica_version, floor] are truncated: the
-            // certifier cannot serve a gap-free remote suffix, and silently
-            // skipping the gap would diverge the replica.  The caller must
-            // bootstrap from a checkpoint (state transfer) instead.
-            return Err(Error::Unavailable(format!(
-                "replica {} at version {} is below the certifier truncation floor {floor}; \
-                 state transfer required",
-                request.replica.value(),
-                request.replica_version
-            )));
-        }
-        self.metrics.incr(CounterId::CertifyRequests);
-        inner.requests += 1;
-
-        // Remote writesets the replica has not seen yet, gathered before the
-        // committing transaction's own writeset is appended.  Each is
-        // additionally certified back to the replica's version so that a
-        // Tashkent-API proxy can detect artificial conflicts.
-        let pending = inner.log.entries_after(request.replica_version);
-        let mut remote_writesets = Vec::with_capacity(pending.len());
-        for (commit_version, writeset) in pending {
-            let conflict_free_to = inner
-                .log
-                .conflict_free_back_to(commit_version, request.replica_version);
-            remote_writesets.push(RemoteWriteSet {
-                commit_version,
-                writeset,
-                conflict_free_to,
-            });
-        }
-
-        // A snapshot older than the truncation floor can no longer be
-        // certified — the suffix it must be checked against is partly gone.
-        // Abort conservatively: the abort is retryable with a fresh
-        // snapshot, and never wrong (committing without the check could be).
-        if request.start_version < floor {
-            inner.conflict_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
-            return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: format!(
-                        "snapshot {} below truncation floor {floor}",
-                        request.start_version
-                    ),
-                    forced: false,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
-            });
-        }
-
-        // Step 1: intersection test against the log suffix.
-        if let Some(conflict_version) = inner
-            .log
-            .conflict_after(&request.writeset, request.start_version)
-        {
-            inner.conflict_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
-            return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: format!("write-write conflict with {conflict_version}"),
-                    forced: false,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
-            });
-        }
-
-        // Forced aborts happen after the full certification check so that all
-        // computational overhead at the certifier is incurred (Section 9.5).
-        if self.forced_abort_rate > 0.0 && inner.rng.gen::<f64>() < self.forced_abort_rate {
-            inner.forced_aborts += 1;
-            self.metrics.incr(CounterId::CertifyAborts);
-            self.metrics
-                .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-            let system_version = inner.log.system_version();
-            return Ok(CertificationResponse {
-                decision: CertificationDecision::Abort {
-                    reason: "forced abort (experiment)".into(),
-                    forced: true,
-                },
-                commit_version: None,
-                remote_writesets,
-                system_version,
-            });
-        }
-
-        // Step 2: commit — assign the next version and append to the log.
-        let commit_version = inner
-            .log
-            .append(request.writeset.clone(), request.start_version);
-        inner.commits += 1;
-        let system_version = inner.log.system_version();
-        drop(inner);
-
-        // The decision is only announced once the log record is durable on a
-        // majority of certifier nodes.  Concurrent certifications share
-        // fsyncs through group commit.
-        if self.metrics.is_enabled() {
-            let durable_started = Instant::now();
-            self.replicated.append(commit_version, &request.writeset)?;
-            self.metrics
-                .record_stage(Stage::Durable, durable_started.elapsed());
-            self.metrics.incr(CounterId::DurableAppends);
-            self.metrics.incr(CounterId::CertifyCommits);
-            // The unsharded certifier is the degenerate single-shard case.
-            self.metrics.record_shard_commit(0);
-            self.metrics.emit(
-                Event::new(Component::Certifier, EventKind::CertifyCommit)
-                    .version(commit_version.0)
-                    .shard(0),
-            );
-            self.metrics.emit(
-                Event::new(Component::Certifier, EventKind::DurableAppend)
-                    .version(commit_version.0)
-                    .shard(0),
-            );
-        } else {
-            self.replicated.append(commit_version, &request.writeset)?;
-        }
-
-        Ok(CertificationResponse {
-            decision: CertificationDecision::Commit,
-            commit_version: Some(commit_version),
-            remote_writesets,
-            system_version,
-        })
-    }
-
-    /// Certifies one drained epoch of pending requests, in arrival order,
-    /// under a single log lock — the epoch leader's body.
-    ///
-    /// Decision identity with [`Certifier::certify_serial`] holds because
-    /// each request sees every earlier request's append before it is checked,
-    /// exactly as if they had arrived serially; the forced-abort RNG is drawn
-    /// under the same guard (only for requests that survived the floor and
-    /// conflict checks), keeping the draw sequence in lockstep with the
-    /// serial path.  The per-epoch wins are one lock acquisition, a footprint
-    /// pre-screen that lets provably conflict-free writesets skip the log
-    /// scan, and one grouped durable append (one majority fsync per epoch).
-    fn process_epoch(&self, epoch: Vec<(CertificationRequest, DecisionSlot)>) {
-        let epoch_len = epoch.len() as u64;
-        let mut commits: Vec<(Version, Arc<WriteSet>, DecisionSlot)> =
-            Vec::with_capacity(epoch.len());
-        let mut inner = self.inner.lock();
-        for (request, slot) in epoch {
-            let floor = inner.log.floor();
-            if request.replica_version < floor {
-                slot.fill(Err(Error::Unavailable(format!(
-                    "replica {} at version {} is below the certifier truncation floor {floor}; \
-                     state transfer required",
-                    request.replica.value(),
-                    request.replica_version
-                ))));
-                continue;
-            }
-            self.metrics.incr(CounterId::CertifyRequests);
-            inner.requests += 1;
-
-            if request.start_version < floor {
-                inner.conflict_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: format!(
-                            "snapshot {} below truncation floor {floor}",
-                            request.start_version
-                        ),
-                        forced: false,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            // Pre-screen: if no bucket covering the writeset's footprint has
-            // committed past the snapshot, the scan provably finds nothing.
-            let conflict = if inner
-                .log
-                .prescreen_clear(&request.writeset, request.start_version)
-            {
-                self.metrics.incr(CounterId::PrescreenHits);
-                None
-            } else {
-                self.metrics.incr(CounterId::PrescreenMisses);
-                inner
-                    .log
-                    .conflict_after(&request.writeset, request.start_version)
-            };
-            if let Some(conflict_version) = conflict {
-                inner.conflict_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: format!("write-write conflict with {conflict_version}"),
-                        forced: false,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            if self.forced_abort_rate > 0.0 && inner.rng.gen::<f64>() < self.forced_abort_rate {
-                inner.forced_aborts += 1;
-                self.metrics.incr(CounterId::CertifyAborts);
-                self.metrics
-                    .emit(Event::new(Component::Certifier, EventKind::CertifyAbort).shard(0));
-                slot.fill(Ok(Decided {
-                    decision: CertificationDecision::Abort {
-                        reason: "forced abort (experiment)".into(),
-                        forced: true,
-                    },
-                    commit_version: None,
-                    system_version: inner.log.system_version(),
-                }));
-                continue;
-            }
-
-            let writeset = Arc::new(request.writeset);
-            let commit_version = inner
-                .log
-                .append_shared(Arc::clone(&writeset), request.start_version);
-            inner.commits += 1;
-            // Commit slots are filled only after the grouped durable append:
-            // the decision is never announced before it is durable.
-            commits.push((commit_version, writeset, slot));
-        }
-        drop(inner);
-
-        self.metrics.add(CounterId::CertifyBatchSize, epoch_len);
-        self.metrics.emit(
-            Event::new(Component::Certifier, EventKind::CertifyBatch)
-                .version(epoch_len)
-                .shard(0),
-        );
-
-        if commits.is_empty() {
-            return;
-        }
-        let group: Vec<(Version, Arc<WriteSet>)> = commits
-            .iter()
-            .map(|(version, writeset, _)| (*version, Arc::clone(writeset)))
-            .collect();
-        let durable_started = Instant::now();
-        let appended = self.replicated.append_group(&group);
-        if appended.is_ok() && self.metrics.is_enabled() {
-            self.metrics
-                .record_stage(Stage::Durable, durable_started.elapsed());
-        }
-        for (commit_version, _, slot) in commits {
-            match &appended {
-                Ok(()) => {
-                    if self.metrics.is_enabled() {
-                        self.metrics.incr(CounterId::DurableAppends);
-                        self.metrics.incr(CounterId::CertifyCommits);
-                        self.metrics.record_shard_commit(0);
-                        self.metrics.emit(
-                            Event::new(Component::Certifier, EventKind::CertifyCommit)
-                                .version(commit_version.0)
-                                .shard(0),
-                        );
-                        self.metrics.emit(
-                            Event::new(Component::Certifier, EventKind::DurableAppend)
-                                .version(commit_version.0)
-                                .shard(0),
-                        );
-                    }
-                    slot.fill(Ok(Decided {
-                        decision: CertificationDecision::Commit,
-                        commit_version: Some(commit_version),
-                        // At the instant this request committed serially the
-                        // system stood exactly at its commit version.
-                        system_version: commit_version,
-                    }));
-                }
-                Err(error) => slot.fill(Err(error.clone())),
-            }
-        }
-    }
-
-    /// Gathers the remote writesets owed to `request`'s replica, bounded
-    /// above by `up_to` (the decision-time version): the batched path's
-    /// waiter-side counterpart of the serial path's under-lock gather.
-    fn remotes_between(
-        &self,
-        request: &CertificationRequest,
-        up_to: Version,
-    ) -> Result<Vec<RemoteWriteSet>> {
-        let mut inner = self.inner.lock();
-        if request.replica_version < inner.log.floor() {
-            // A concurrent truncation raced past the replica's version
-            // between decision and gather: the suffix is no longer gap-free.
-            return Err(Error::Unavailable(format!(
-                "replica {} at version {} is below the certifier truncation floor {}; \
-                 state transfer required",
-                request.replica.value(),
-                request.replica_version,
-                inner.log.floor()
-            )));
-        }
-        let pending = inner.log.entries_after(request.replica_version);
-        let mut remote_writesets = Vec::with_capacity(pending.len());
-        for (commit_version, writeset) in pending {
-            if commit_version > up_to {
-                break;
-            }
-            let conflict_free_to = inner
-                .log
-                .conflict_free_back_to(commit_version, request.replica_version);
-            remote_writesets.push(RemoteWriteSet {
-                commit_version,
-                writeset,
-                conflict_free_to,
-            });
-        }
-        Ok(remote_writesets)
-    }
-
-    /// Returns the remote writesets committed after `since`, used by the
-    /// proxy's bounded-staleness refresh (Section 6.2) and by replica
-    /// recovery.
-    #[must_use]
-    pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
-        let mut inner = self.inner.lock();
-        let pending = inner.log.entries_after(since);
-        pending
-            .into_iter()
-            .map(|(commit_version, writeset)| {
-                let conflict_free_to = inner.log.conflict_free_back_to(commit_version, since);
-                RemoteWriteSet {
-                    commit_version,
-                    writeset,
-                    conflict_free_to,
-                }
-            })
-            .collect()
-    }
-
-    /// Current statistics.
-    #[must_use]
-    pub fn stats(&self) -> CertifierStats {
-        let inner = self.inner.lock();
-        CertifierStats {
-            requests: inner.requests,
-            commits: inner.commits,
-            conflict_aborts: inner.conflict_aborts,
-            forced_aborts: inner.forced_aborts,
-            log: self.replicated.stats(),
-        }
-    }
-
-    /// Reads the durable log of a given certifier node (recovery tooling).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors and unknown-node errors.
-    pub fn durable_entries(&self, node: CertifierNodeId) -> Result<Vec<(Version, WriteSet)>> {
-        self.replicated.durable_entries(node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use tashkent_common::{TableId, Value, WriteItem};
+    use tashkent_common::{ShardId, TableId, Value, WriteItem};
 
     use super::*;
+    use crate::paxos::CertifierNodeId;
+    use crate::sharded::{ShardedCertifier, ShardedCertifierConfig};
 
     fn ws(keys: &[i64]) -> WriteSet {
         WriteSet::from_items(
@@ -898,9 +222,26 @@ mod tests {
         }
     }
 
+    /// The paper's configuration: one certifier group, one shard.
+    fn certifier(config: CertifierConfig) -> ShardedCertifier {
+        ShardedCertifier::new(ShardedCertifierConfig {
+            shards: 1,
+            base: config,
+        })
+    }
+
+    /// A certifier holding six single-key commits, v1..v6 on keys 1..6.
+    fn certifier_with_six_commits() -> ShardedCertifier {
+        let certifier = certifier(CertifierConfig::default());
+        for k in 1..=6 {
+            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
+        }
+        certifier
+    }
+
     #[test]
     fn non_conflicting_transactions_commit_in_order() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         let r1 = certifier.certify(&request(0, 0, &[1])).unwrap();
         let r2 = certifier.certify(&request(0, 0, &[2])).unwrap();
         assert!(r1.decision.is_commit());
@@ -912,7 +253,7 @@ mod tests {
         // writeset (the replica claimed version 0).
         assert_eq!(r2.remote_writesets.len(), 1);
         assert_eq!(r2.remote_writesets[0].commit_version, Version(1));
-        let stats = certifier.stats();
+        let stats = certifier.stats().aggregate();
         assert_eq!(stats.commits, 2);
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.log.entries, 2);
@@ -920,7 +261,7 @@ mod tests {
 
     #[test]
     fn conflicting_concurrent_transactions_abort() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         assert!(certifier
             .certify(&request(0, 0, &[5]))
             .unwrap()
@@ -941,7 +282,7 @@ mod tests {
 
     #[test]
     fn remote_writesets_are_limited_to_unseen_versions() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         for k in 1..=5 {
             certifier.certify(&request(0, 0, &[k * 10])).unwrap();
         }
@@ -957,7 +298,7 @@ mod tests {
 
     #[test]
     fn extended_certification_reports_artificial_conflicts() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         // v1 writes key 5; v2 writes key 7; v3 writes key 5 again (its
         // transaction started at version 1 so it does not conflict globally,
         // but it conflicts with v1 when both are applied concurrently).
@@ -976,18 +317,14 @@ mod tests {
 
     #[test]
     fn forced_aborts_follow_the_configured_rate() {
-        let certifier = Certifier::new(CertifierConfig {
+        let certifier = certifier(CertifierConfig {
             forced_abort_rate: 0.4,
             ..CertifierConfig::default()
         });
         let mut aborted: u64 = 0;
         for i in 0..500 {
-            let response = certifier.certify(&request(
-                certifier.system_version().value(),
-                certifier.system_version().value(),
-                &[i],
-            ))
-            .unwrap();
+            let version = certifier.system_version().value();
+            let response = certifier.certify(&request(version, version, &[i])).unwrap();
             if !response.decision.is_commit() {
                 aborted += 1;
             }
@@ -1001,12 +338,12 @@ mod tests {
 
     #[test]
     fn certification_requires_a_majority_of_nodes() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         certifier.certify(&request(0, 0, &[1])).unwrap();
         certifier.crash_node(CertifierNodeId(0));
         // Leader fails over, still available.
         assert!(certifier.is_available());
-        assert_ne!(certifier.leader(), CertifierNodeId(0));
+        assert_ne!(certifier.shard_leader(ShardId(0)), CertifierNodeId(0));
         certifier.certify(&request(1, 1, &[2])).unwrap();
         certifier.crash_node(CertifierNodeId(1));
         assert!(!certifier.is_available());
@@ -1018,22 +355,6 @@ mod tests {
         certifier.recover_node(CertifierNodeId(0)).unwrap();
         assert!(certifier.is_available());
         certifier.certify(&request(2, 2, &[3])).unwrap();
-    }
-
-    #[test]
-    fn recovery_from_durable_entries_reproduces_the_log() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=6 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
-        let entries = certifier.durable_entries(certifier.leader()).unwrap();
-        assert_eq!(entries.len(), 6);
-        let recovered = Certifier::from_entries(CertifierConfig::default(), &entries);
-        assert_eq!(recovered.system_version(), Version(6));
-        // The recovered certifier still detects conflicts against old
-        // entries.
-        let response = recovered.certify(&request(0, 6, &[1])).unwrap();
-        assert!(!response.decision.is_commit());
     }
 
     #[test]
@@ -1060,10 +381,7 @@ mod tests {
 
     #[test]
     fn truncation_is_clamped_to_the_sealed_checkpoint() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=6 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
+        let certifier = certifier_with_six_commits();
         // No checkpoint sealed yet: nothing may be dropped.
         assert_eq!(certifier.truncate_below(Version(4)).unwrap(), 0);
         assert_eq!(certifier.truncation_floor(), Version::ZERO);
@@ -1074,17 +392,15 @@ mod tests {
         assert_eq!(certifier.truncation_floor(), Version(4));
         assert_eq!(certifier.log_len(), 2);
         // The durable log was trimmed too.
-        let durable = certifier.durable_entries(certifier.leader()).unwrap();
+        let leader = certifier.shard_leader(ShardId(0));
+        let durable = certifier.shard_durable_entries(ShardId(0), leader).unwrap();
         let versions: Vec<u64> = durable.iter().map(|(v, _)| v.value()).collect();
         assert_eq!(versions, vec![5, 6]);
     }
 
     #[test]
     fn certification_above_the_floor_still_detects_conflicts() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=6 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
+        let certifier = certifier_with_six_commits();
         certifier.seal_checkpoint();
         certifier.truncate_below(Version(4)).unwrap();
         // Key 5 committed at v5 (above the floor): a stale snapshot at v4
@@ -1098,10 +414,7 @@ mod tests {
 
     #[test]
     fn requests_below_the_floor_are_refused_conservatively() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=6 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
+        let certifier = certifier_with_six_commits();
         certifier.seal_checkpoint();
         certifier.truncate_below(Version(4)).unwrap();
         // A snapshot below the floor aborts conservatively (retryable).
@@ -1121,49 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn state_transfer_bootstraps_from_checkpoint_plus_suffix() {
-        let certifier = Certifier::new(CertifierConfig::default());
-        for k in 1..=4 {
-            certifier.certify(&request(k - 1, k - 1, &[k as i64])).unwrap();
-        }
-        certifier.seal_checkpoint();
-        certifier.truncate_below(Version(2)).unwrap();
-        // Re-seal so the image records the trimmed floor, then commit two
-        // more transactions to form the suffix.
-        certifier.seal_checkpoint();
-        certifier.certify(&request(4, 4, &[5])).unwrap();
-        certifier.certify(&request(5, 5, &[6])).unwrap();
-
-        let payload = certifier.latest_checkpoint_payload().unwrap();
-        let suffix: Vec<(Version, WriteSet)> = certifier
-            .writesets_after(Version(4))
-            .into_iter()
-            .map(|r| (r.commit_version, (*r.writeset).clone()))
-            .collect();
-        let joiner =
-            Certifier::from_checkpoint(CertifierConfig::default(), &payload, &suffix).unwrap();
-        assert_eq!(joiner.system_version(), Version(6));
-        assert_eq!(joiner.truncation_floor(), Version(2));
-        // The joiner detects conflicts against transferred entries...
-        let response = joiner.certify(&request(4, 4, &[5])).unwrap();
-        assert!(!response.decision.is_commit());
-        // ...and keeps committing past the transferred history.
-        let response = joiner.certify(&request(6, 6, &[7])).unwrap();
-        assert_eq!(response.commit_version, Some(Version(7)));
-        // Its durable log holds only the retained range.
-        let durable = joiner.durable_entries(joiner.leader()).unwrap();
-        assert_eq!(durable.first().unwrap().0, Version(3));
-    }
-
-    #[test]
     fn group_commit_statistics_are_exposed() {
-        let certifier = Certifier::new(CertifierConfig::default());
+        let certifier = certifier(CertifierConfig::default());
         for k in 0..20 {
             certifier
                 .certify(&request(k, k, &[k as i64 + 100]))
                 .unwrap();
         }
-        let stats = certifier.stats();
+        let stats = certifier.stats().aggregate();
         assert_eq!(stats.log.entries, 20);
         assert!(stats.log.leader_fsyncs > 0);
         assert!(stats.log.leader_log_bytes > 0);

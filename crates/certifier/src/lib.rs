@@ -25,17 +25,21 @@
 //! * [`batch`] — the leader–follower epoch queue behind batched
 //!   certification: concurrent requests are drained in epochs and certified
 //!   in one pass (one lock acquisition, one log traversal, one grouped
-//!   durable append), with decisions identical to the serial scan.
+//!   durable append), with decisions identical to a serial scan.
 //! * [`log`] — the in-memory certified-writeset log with cached footprints,
 //!   suffix conflict checks and the extended ("how far back is this writeset
 //!   conflict-free") queries needed by Tashkent-API.
 //! * [`paxos`] — the replicated durable log: leader, majority
 //!   acknowledgement, node crash / recovery / state transfer.
-//! * [`certifier`] — the [`certifier::Certifier`] façade used by proxies.
-//! * [`sharded`] — the [`sharded::ShardedCertifier`]: N independent
-//!   certification shards (each with its own replicated durable log) behind
-//!   a global commit-version sequencer, so intersection work scales beyond
-//!   one thread while replicas still see one totally-ordered stream.
+//! * [`certifier`] — the request / response / decision types of the
+//!   certification interface, its configuration, and the checkpoint payload
+//!   codec.
+//! * [`sharded`] — the [`sharded::ShardedCertifier`], the in-process
+//!   certifier used by proxies: N independent certification shards (each
+//!   with its own replicated durable log) behind a global commit-version
+//!   sequencer, so intersection work scales beyond one thread while
+//!   replicas still see one totally-ordered stream.  One shard is the
+//!   paper's single certifier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +52,7 @@ pub mod sharded;
 
 pub use batch::{EpochQueue, Slot};
 pub use certifier::{
-    CertificationDecision, CertificationRequest, CertificationResponse, Certifier, CertifierConfig,
+    CertificationDecision, CertificationRequest, CertificationResponse, CertifierConfig,
     CertifierStats, RemoteWriteSet,
 };
 pub use log::CertifierLog;

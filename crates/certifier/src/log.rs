@@ -338,18 +338,6 @@ impl CertifierLog {
         dropped
     }
 
-    /// Restores the truncation floor when rebuilding a log from a sealed
-    /// checkpoint (incremental state transfer): the checkpoint's floor is
-    /// adopted directly instead of being clamped to the (possibly still
-    /// empty) log's system version.  The floor stays monotone.
-    pub fn restore_floor(&mut self, floor: Version) {
-        debug_assert!(
-            self.entries.first().is_none_or(|e| e.commit_version > floor),
-            "restored floor must lie below every entry"
-        );
-        self.floor = self.floor.max(floor);
-    }
-
     fn suffix(&self, after: Version) -> impl Iterator<Item = &LogEntry> {
         // Entries are sorted by commit version; binary search for the split.
         let start = self

@@ -5,21 +5,24 @@
 //! shard owns a slice of the row space (determined by the deterministic
 //! [`ShardMap`]), keeps its own in-memory [`CertifierLog`] of the committed
 //! writesets that touch its slice, and has its own majority-replicated
-//! durable log ([`ReplicatedLog`]) — the same Paxos-durability model as the
-//! unsharded [`Certifier`](crate::Certifier), instantiated once per shard.
-//! A *global sequencer* assigns cluster-wide commit versions so that every
-//! replica still applies one totally-ordered stream of writesets.
+//! durable log ([`ReplicatedLog`]) — the paper's Paxos-durability model,
+//! instantiated once per shard.  A *global sequencer* assigns cluster-wide
+//! commit versions so that every replica still applies one totally-ordered
+//! stream of writesets.  With one shard (the default cluster configuration)
+//! this is exactly the paper's single certifier.
 //!
 //! # Certification protocol
 //!
-//! * **Single-shard writesets** (the common case) lock one shard, run the
-//!   intersection test against that shard's log only, and proceed
-//!   concurrently with certifications on every other shard.
+//! * **Single-shard writesets** (the common case, and every writeset when
+//!   there is one shard) ride that shard's epoch queue: an epoch leader
+//!   certifies a drained batch against the shard's log under one lock and
+//!   one grouped majority fsync, concurrently with every other shard.
 //! * **Multi-shard writesets** use an ordered two-phase certify: acquire all
 //!   owning shards in ascending shard-id order, decide, append, release.
 //!   The global acquisition order makes concurrent multi-shard
 //!   certifications deadlock-free, and holding every owning shard across
-//!   the decision makes the outcome equivalent to the unsharded certifier.
+//!   the decision makes the outcome equal to a serial scan of one global
+//!   log.
 //!
 //! Correctness hinges on one observation: a write-write conflict between two
 //! writesets is witnessed by a shared `(table, key)` pair, and that pair is
@@ -56,7 +59,7 @@ use tashkent_storage::checkpoint::CheckpointStore;
 use crate::batch::{EpochQueue, Slot};
 use crate::certifier::{
     encode_checkpoint_payload, CertificationDecision, CertificationRequest, CertificationResponse,
-    CertifierConfig, CertifierStats, Decided, DecisionSlot, RemoteWriteSet,
+    CertifierConfig, CertifierStats, RemoteWriteSet,
 };
 use crate::log::CertifierLog;
 use crate::paxos::{CertifierNodeId, ReplicatedLog, ReplicatedLogStats};
@@ -68,8 +71,8 @@ pub struct ShardedCertifierConfig {
     pub shards: usize,
     /// Per-shard configuration: each shard gets its own `base.nodes`-node
     /// replicated durable log with `base.disk` disks.  The forced-abort rate
-    /// and seed apply globally (one draw per certification, exactly like the
-    /// unsharded certifier).
+    /// and seed apply globally (one draw per surviving certification, in
+    /// global commit order).
     pub base: CertifierConfig,
 }
 
@@ -128,9 +131,9 @@ pub struct ShardedCertifierStats {
 }
 
 impl ShardedCertifierStats {
-    /// Collapses the sharded statistics into the unsharded
-    /// [`CertifierStats`] shape (log counters summed across shards, group
-    /// commit merged), for callers that render both the same way.
+    /// Collapses the per-shard statistics into one [`CertifierStats`] (log
+    /// counters summed across shards, group commit merged), the shape
+    /// proxies and clusters render.
     #[must_use]
     pub fn aggregate(&self) -> CertifierStats {
         let mut log = ReplicatedLogStats::default();
@@ -174,7 +177,7 @@ pub struct ShardStream {
 /// version are guaranteed to have reached every owning shard's stream.
 ///
 /// This is the proxy-side *fan-in*: above this merge the proxy's serial and
-/// concurrent apply pipelines are unchanged from the unsharded system.
+/// concurrent apply pipelines see one stream, whatever the shard count.
 #[must_use]
 pub fn merge_shard_streams(streams: &[ShardStream], up_to: Version) -> Vec<RemoteWriteSet> {
     let mut cursors: Vec<std::slice::Iter<'_, RemoteWriteSet>> =
@@ -206,6 +209,32 @@ pub fn merge_shard_streams(streams: &[ShardStream], up_to: Version) -> Vec<Remot
     merged
 }
 
+/// A certification decision stripped of its remote-writeset stream: what an
+/// epoch leader hands back to each submitting caller, which then assembles
+/// its own [`CertificationResponse`] (the remote-stream gather — the
+/// per-replica part of the response — stays on the caller's thread).
+#[derive(Debug, Clone)]
+struct Decided {
+    decision: CertificationDecision,
+    commit_version: Option<Version>,
+    /// The system version at decision time; for commits this equals the
+    /// commit version, for aborts the version the log stood at.
+    system_version: Version,
+}
+
+/// A certify waiting in an epoch: the slot its decision resolves through.
+type DecisionSlot = Arc<Slot<Result<Decided>>>;
+
+impl Decided {
+    /// The upper bound of the remote stream owed to the requester: one below
+    /// its own commit for commits (the certifier never resends a replica its
+    /// own writeset), the decision-time system version for aborts.
+    fn remote_bound(&self) -> Version {
+        self.commit_version
+            .map_or(self.system_version, |commit| commit.prev())
+    }
+}
+
 /// The sharded certifier component shared by every replica proxy.
 pub struct ShardedCertifier {
     map: ShardMap,
@@ -213,12 +242,11 @@ pub struct ShardedCertifier {
     sequencer: Mutex<Sequencer>,
     forced_abort_rate: f64,
     metrics: Arc<MetricsRegistry>,
-    /// One epoch queue per shard when batched certification is enabled:
-    /// single-shard writesets (the common case) are drained and certified in
-    /// per-shard epochs, amortizing the shard-log lock and the majority
-    /// fsync.  Multi-shard writesets always take the direct ordered
-    /// two-phase path.
-    batchers: Option<Vec<EpochQueue<CertificationRequest, Result<Decided>>>>,
+    /// One epoch queue per shard: single-shard writesets (the common case)
+    /// are drained and certified in per-shard epochs, amortizing the
+    /// shard-log lock and the majority fsync.  Multi-shard writesets take
+    /// the direct ordered two-phase path.
+    batchers: Vec<EpochQueue<CertificationRequest, Result<Decided>>>,
     /// Cache of [`ShardedCertifier::truncation_floor`], refreshed whenever a
     /// truncation moves a shard floor.  Certification reads this instead of
     /// locking every shard log on every request; floors only move under
@@ -274,10 +302,7 @@ impl ShardedCertifier {
             }),
             forced_abort_rate: config.base.forced_abort_rate.clamp(0.0, 1.0),
             metrics: config.base.metrics,
-            batchers: config
-                .base
-                .batch
-                .then(|| (0..config.shards).map(|_| EpochQueue::new()).collect()),
+            batchers: (0..config.shards).map(|_| EpochQueue::new()).collect(),
             floor_cache: AtomicU64::new(0),
         }
     }
@@ -401,7 +426,7 @@ impl ShardedCertifier {
 
     /// The shards owning `writeset`, falling back to shard 0 for an empty
     /// writeset so that even degenerate requests have a deterministic home
-    /// (the unsharded certifier also accepts and versions empty writesets).
+    /// (empty writesets are accepted and versioned like any other).
     fn owning_shards(&self, writeset: &WriteSet) -> Vec<ShardId> {
         let shards = self.map.shards_of(writeset);
         if shards.is_empty() {
@@ -411,13 +436,12 @@ impl ShardedCertifier {
         }
     }
 
-    /// Certifies an update transaction.
+    /// Certifies an update transaction (Section 6.1 pseudo-code).
     ///
-    /// Semantics are identical to [`Certifier::certify`](crate::Certifier):
-    /// same request / response types, same decision rule, same global
-    /// version order — with `shards == 1` the two are decision-for-decision
-    /// interchangeable (the equivalence test in
-    /// `tests/sharded_equivalence.rs` pins this down).
+    /// At any shard count the decisions, commit versions and remote streams
+    /// equal those of a textbook serial certifier scanning one global log
+    /// (the equivalence tests in `tests/sharded_equivalence.rs` and
+    /// `tests/batch_equivalence.rs` pin this down).
     ///
     /// # Errors
     ///
@@ -452,30 +476,26 @@ impl ShardedCertifier {
         let _inflight = self.metrics.gauge_guard(GaugeId::CertifierInflight);
         self.metrics.incr(CounterId::CertifyRequests);
 
-        // Single-shard writesets ride the shard's epoch queue when batching
-        // is enabled: an epoch leader certifies a whole drained batch under
-        // one shard-log lock and one grouped majority fsync.  Multi-shard
-        // writesets keep the direct ordered two-phase certify below (they
-        // must hold several shard locks at once, which an epoch leader —
-        // holding exactly one — cannot interleave with).
-        if owning.len() == 1 {
-            if let Some(batchers) = &self.batchers {
-                let shard = owning[0];
-                let decided = batchers[shard.index()]
-                    .submit(request.clone(), |epoch| self.process_shard_epoch(shard, epoch))?;
-                // The remote-stream fan-in runs on the submitting thread,
-                // bounded by the decision-time version (one below our own
-                // commit, or the abort-time system version) — identical to
-                // the direct path's bound.
-                let bound = decided.remote_bound();
-                return Ok(CertificationResponse {
-                    decision: decided.decision,
-                    commit_version: decided.commit_version,
-                    remote_writesets: self
-                        .remote_writesets_between(request.replica_version, bound),
-                    system_version: decided.system_version,
-                });
-            }
+        // Single-shard writesets ride the shard's epoch queue: an epoch
+        // leader certifies a whole drained batch under one shard-log lock
+        // and one grouped majority fsync.  Multi-shard writesets take the
+        // direct ordered two-phase certify below (they must hold several
+        // shard locks at once, which an epoch leader — holding exactly one —
+        // cannot interleave with).
+        if let [shard] = owning[..] {
+            let decided = self.batchers[shard.index()]
+                .submit(request.clone(), |epoch| self.process_shard_epoch(shard, epoch))?;
+            // The remote-stream fan-in runs on the submitting thread,
+            // bounded by the decision-time version (one below our own
+            // commit, or the abort-time system version) — identical to the
+            // direct path's bound.
+            let bound = decided.remote_bound();
+            return Ok(CertificationResponse {
+                decision: decided.decision,
+                commit_version: decided.commit_version,
+                remote_writesets: self.remote_writesets_between(request.replica_version, bound),
+                system_version: decided.system_version,
+            });
         }
 
         // Phase 1 (acquire): lock every owning shard in ascending shard-id
@@ -496,8 +516,8 @@ impl ShardedCertifier {
             .any(|log| request.start_version < log.floor());
 
         // Intersection test against every owning shard's log suffix.  The
-        // oldest conflicting version across shards matches the unsharded
-        // certifier's forward scan.
+        // oldest conflicting version across shards is what a forward scan of
+        // one global log would report.
         let conflict = guards
             .iter()
             .filter_map(|log| log.conflict_after(&request.writeset, request.start_version))
@@ -588,12 +608,11 @@ impl ShardedCertifier {
 
         // Make the decision durable before announcing it — on the writeset's
         // *home shard* (its lowest owning shard id) only.  One majority fsync
-        // per commit, exactly like the unsharded certifier; what sharding
-        // adds is that different home shards group-commit on independent
-        // disks.  Every commit is durable in exactly one shard group's
-        // majority, so the union of the shard groups' durable logs is the
-        // full certified history (re-partitioned through the shard map when
-        // in-memory shard logs must be rebuilt).
+        // per commit; what sharding adds is that different home shards
+        // group-commit on independent disks.  Every commit is durable in
+        // exactly one shard group's majority, so the union of the shard
+        // groups' durable logs is the full certified history (re-partitioned
+        // through the shard map when in-memory shard logs must be rebuilt).
         let home = owning[0];
         if self.metrics.is_enabled() {
             let durable_started = Instant::now();
@@ -625,7 +644,7 @@ impl ShardedCertifier {
             decision: CertificationDecision::Commit,
             commit_version: Some(commit_version),
             // Bounded at the version *below* the transaction's own commit —
-            // exactly the unsharded certifier's gather-before-append window.
+            // a serial certifier's gather-before-append window.
             // The bound must NOT be re-sampled here: a commit that lands
             // after ours would enter the stream while our own version is
             // excluded, and a proxy applying that stream would advance past
@@ -1114,9 +1133,9 @@ impl ShardedCertifier {
             .collect()
     }
 
-    /// The merged global stream of remote writesets after `since`, exactly
-    /// like [`Certifier::writesets_after`](crate::Certifier) — used by
-    /// refresh, recovery and the equivalence tests.
+    /// The merged global stream of remote writesets after `since` — used by
+    /// the proxy's bounded-staleness refresh (Section 6.2), replica recovery
+    /// and the equivalence tests.
     #[must_use]
     pub fn writesets_after(&self, since: Version) -> Vec<RemoteWriteSet> {
         // Sample the bound BEFORE the streams: every commit at or below it

@@ -1,14 +1,17 @@
 //! The batched certifier's correctness anchors.
 //!
-//! 1. **Decision equivalence**: on any trace of certification requests the
-//!    batched, pre-screened path (`batch: true`, the default) must be
-//!    decision-for-decision identical to the serial scan (`batch: false`) —
-//!    same commit/abort decisions, same commit versions, same remote-writeset
-//!    streams (including `conflict_free_to` bounds), same forced-abort
-//!    pattern (the RNG is drawn once per surviving request in both paths, so
-//!    equal seeds must produce equal draw sequences).  Checked for the
-//!    unsharded [`Certifier`] and for the [`ShardedCertifier`] at 1, 2 and 4
-//!    shards.
+//! 1. **Decision equivalence under real epochs**: several threads certify
+//!    concurrently, so per-shard epoch queues drain multi-request epochs
+//!    (and, sharded, multi-shard writesets take the direct two-phase path
+//!    in between).  Every response reports the system version it was
+//!    decided at, which fixes the serial order the certifier claims: a
+//!    commit at `v`, then the aborts decided while the system stood at `v`.
+//!    Replaying that order through the textbook reference certifier in
+//!    `reference/mod.rs` must reproduce every response exactly — decision
+//!    and reason, commit version, remote stream with its `conflict_free_to`
+//!    bounds — and the forced-abort pattern (the RNG is drawn once per
+//!    surviving request, in that order).  Checked at 1, 2 and 4 shards, and
+//!    on a serial trace across a truncation floor.
 //! 2. **Pre-screen soundness**: whenever the footprint index declares a
 //!    writeset clear ([`CertifierLog::prescreen_clear`]), the full suffix
 //!    scan ([`CertifierLog::conflict_after`]) must find nothing — a screened
@@ -16,186 +19,121 @@
 //!    may force spurious scans; the reverse direction is deliberately not
 //!    asserted.
 
+mod reference;
+
+use std::time::Duration;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reference::{
+    assert_same_end_state, assert_serial_trace, digest, random_request, random_writeset,
+    ReferenceCertifier,
+};
 use tashkent_certifier::{
-    CertificationRequest, Certifier, CertifierConfig, CertifierLog, ShardedCertifier,
+    CertificationRequest, CertificationResponse, CertifierConfig, CertifierLog, ShardedCertifier,
     ShardedCertifierConfig,
 };
-use tashkent_common::{ReplicaId, TableId, Value, Version, WriteItem, WriteSet};
+use tashkent_common::Version;
+use tashkent_storage::disk::DiskConfig;
 
-/// A randomized writeset: 1–6 items over 4 tables and a smallish key space,
-/// so traces carry real conflicts, repeats and (under sharding) multi-shard
-/// writesets.
-fn random_writeset(rng: &mut StdRng) -> WriteSet {
-    let items = rng.gen_range(1..=6);
-    WriteSet::from_items(
-        (0..items)
-            .map(|_| {
-                let table = TableId(rng.gen_range(0..4));
-                let key = rng.gen_range(0..64i64);
-                WriteItem::update(table, key, vec![("c".into(), Value::Int(key))])
-            })
-            .collect(),
-    )
-}
+const WORKERS: u64 = 4;
+const REQUESTS_PER_WORKER: usize = 150;
 
-/// One randomized request derived from the current system version, identical
-/// on both sides as long as the two replays stay in version lockstep.
-fn random_request(rng: &mut StdRng, system: Version) -> CertificationRequest {
-    let lag = rng.gen_range(0..4u64).min(system.value());
-    let replica_lag = rng.gen_range(0..6u64).min(system.value());
-    CertificationRequest {
-        replica: ReplicaId(rng.gen_range(0..3)),
-        start_version: Version(system.value() - lag),
-        writeset: random_writeset(rng),
-        replica_version: Version(system.value() - replica_lag),
+/// Runs `WORKERS` concurrent certifying threads, then replays their
+/// requests through the reference in the order the responses report.
+///
+/// Each epoch's grouped durable append sleeps a real fsync, so requests
+/// arriving meanwhile queue up and the next epoch drains several at once
+/// (the group commit the epoch queue exists for).
+fn assert_concurrent_replay(shards: usize, forced_abort_rate: f64, seed: u64) {
+    let base = CertifierConfig {
+        forced_abort_rate,
+        disk: DiskConfig {
+            fsync_latency: Duration::from_micros(200),
+            sleep: true,
+            ..DiskConfig::default()
+        },
+        ..CertifierConfig::default()
+    };
+    let mut reference = ReferenceCertifier::new(&base);
+    let candidate = ShardedCertifier::new(ShardedCertifierConfig { shards, base });
+    let mut outcomes: Vec<(CertificationRequest, CertificationResponse)> =
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|worker| {
+                    let candidate = &candidate;
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(seed ^ (worker << 32));
+                        (0..REQUESTS_PER_WORKER)
+                            .map(|_| {
+                                let request = random_request(&mut rng, candidate.system_version());
+                                let response = candidate.certify(&request).unwrap();
+                                (request, response)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().unwrap())
+                .collect()
+        });
+    // The claimed serial order: by decision-time system version, each
+    // commit ahead of the aborts decided after it.  Aborts sharing a system
+    // version commute (none changes the log, and the forced-abort draws
+    // among them all fall below the rate).
+    outcomes.sort_by_key(|(_, response)| (response.system_version, !response.decision.is_commit()));
+    for (step, (request, actual)) in outcomes.iter().enumerate() {
+        let expected = reference.certify(request).unwrap();
+        assert_eq!(
+            digest(actual),
+            digest(&expected),
+            "shards {shards} replay step {step}"
+        );
     }
-}
-
-/// The comparable projection of a response: commit?, commit version,
-/// system version, and (version, writeset len, source) per remote writeset.
-type ResponseDigest = (bool, Option<u64>, u64, Vec<(u64, usize, u64)>);
-
-fn digest(response: &tashkent_certifier::CertificationResponse) -> ResponseDigest {
-    (
-        response.decision.is_commit(),
-        response.commit_version.map(Version::value),
-        response.system_version.value(),
-        response
-            .remote_writesets
+    assert_same_end_state(&reference, &candidate, forced_abort_rate);
+    assert!(
+        candidate
+            .stats()
+            .shards
             .iter()
-            .map(|r| {
-                (
-                    r.commit_version.value(),
-                    r.writeset.len(),
-                    r.conflict_free_to.value(),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn unsharded_pair(forced_abort_rate: f64) -> (Certifier, Certifier) {
-    let base = CertifierConfig {
-        forced_abort_rate,
-        ..CertifierConfig::default()
-    };
-    (
-        Certifier::new(CertifierConfig {
-            batch: false,
-            ..base.clone()
-        }),
-        Certifier::new(CertifierConfig { batch: true, ..base }),
-    )
-}
-
-fn sharded_pair(shards: usize, forced_abort_rate: f64) -> (ShardedCertifier, ShardedCertifier) {
-    let base = CertifierConfig {
-        forced_abort_rate,
-        ..CertifierConfig::default()
-    };
-    (
-        ShardedCertifier::new(ShardedCertifierConfig {
-            shards,
-            base: CertifierConfig {
-                batch: false,
-                ..base.clone()
-            },
-        }),
-        ShardedCertifier::new(ShardedCertifierConfig {
-            shards,
-            base: CertifierConfig { batch: true, ..base },
-        }),
-    )
-}
-
-fn assert_unsharded_equivalent(forced_abort_rate: f64, seed: u64, trace: usize) {
-    let (serial, batched) = unsharded_pair(forced_abort_rate);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for step in 0..trace {
-        let system = serial.system_version();
-        assert_eq!(batched.system_version(), system, "step {step}");
-        let request = random_request(&mut rng, system);
-        let expected = serial.certify(&request).unwrap();
-        let actual = batched.certify(&request).unwrap();
-        assert_eq!(digest(&expected), digest(&actual), "step {step}");
-    }
-    let expected = serial.stats();
-    let actual = batched.stats();
-    assert_eq!(expected.commits, actual.commits);
-    assert_eq!(expected.conflict_aborts, actual.conflict_aborts);
-    assert_eq!(expected.forced_aborts, actual.forced_aborts);
-    assert_eq!(expected.requests, actual.requests);
-}
-
-fn assert_sharded_equivalent(shards: usize, forced_abort_rate: f64, seed: u64, trace: usize) {
-    let (serial, batched) = sharded_pair(shards, forced_abort_rate);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for step in 0..trace {
-        let system = serial.system_version();
-        assert_eq!(batched.system_version(), system, "step {step}");
-        let request = random_request(&mut rng, system);
-        let expected = serial.certify(&request).unwrap();
-        let actual = batched.certify(&request).unwrap();
-        assert_eq!(digest(&expected), digest(&actual), "shards {shards} step {step}");
-    }
-    let expected = serial.stats();
-    let actual = batched.stats();
-    assert_eq!(expected.commits, actual.commits);
-    assert_eq!(expected.conflict_aborts, actual.conflict_aborts);
-    assert_eq!(expected.forced_aborts, actual.forced_aborts);
-    assert_eq!(expected.requests, actual.requests);
+            .any(|shard| shard.leader_group_commit.mean_group_size() > 1.0),
+        "no epoch grouped more than one commit"
+    );
 }
 
 #[test]
 fn batched_certifier_matches_the_serial_scan() {
-    assert_unsharded_equivalent(0.0, 0xB1, 400);
+    assert_concurrent_replay(1, 0.0, 0xB1);
 }
 
 #[test]
 fn batched_certifier_forced_aborts_stay_in_rng_lockstep() {
-    assert_unsharded_equivalent(0.15, 0xB2, 400);
+    assert_concurrent_replay(1, 0.15, 0xB2);
 }
 
 #[test]
 fn batched_sharded_certifier_matches_the_serial_scan() {
-    for (shards, seed) in [(1usize, 0xB3u64), (2, 0xB4), (4, 0xB5)] {
-        assert_sharded_equivalent(shards, 0.0, seed, 400);
+    for (shards, seed) in [(2usize, 0xB4u64), (4, 0xB5)] {
+        assert_concurrent_replay(shards, 0.0, seed);
     }
 }
 
 #[test]
 fn batched_sharded_forced_aborts_stay_in_rng_lockstep() {
-    for (shards, seed) in [(1usize, 0xB6u64), (2, 0xB7), (4, 0xB8)] {
-        assert_sharded_equivalent(shards, 0.15, seed, 400);
+    for (shards, seed) in [(2usize, 0xB7u64), (4, 0xB8)] {
+        assert_concurrent_replay(shards, 0.15, seed);
     }
 }
 
 #[test]
 fn equivalence_holds_across_truncation_floors() {
-    // Truncation rebuilds the pre-screen index; decisions — including the
-    // conservative below-floor aborts — must stay identical afterwards.
-    let (serial, batched) = unsharded_pair(0.0);
-    let mut rng = StdRng::seed_from_u64(0xB9);
-    for _ in 0..120 {
-        let request = random_request(&mut rng, serial.system_version());
-        let expected = serial.certify(&request).unwrap();
-        let actual = batched.certify(&request).unwrap();
-        assert_eq!(digest(&expected), digest(&actual));
-    }
-    let watermark = Version(serial.system_version().value() / 2);
-    serial.seal_checkpoint();
-    batched.seal_checkpoint();
-    serial.truncate_below(watermark).unwrap();
-    batched.truncate_below(watermark).unwrap();
-    assert_eq!(serial.truncation_floor(), batched.truncation_floor());
-    for step in 0..200 {
-        let system = serial.system_version();
-        let request = random_request(&mut rng, system);
-        let expected = serial.certify(&request).unwrap();
-        let actual = batched.certify(&request).unwrap();
-        assert_eq!(digest(&expected), digest(&actual), "post-truncation step {step}");
+    // Truncation rebuilds the pre-screen index and moves the floor;
+    // decisions — including the conservative below-floor aborts and the
+    // refusals of replicas below the floor — must match afterwards.
+    for (shards, seed) in [(1usize, 0xB9u64), (2, 0xBC), (4, 0xBD)] {
+        assert_serial_trace(shards, 0.0, seed, 320, Some(120));
     }
 }
 
@@ -218,8 +156,7 @@ fn prescreen_clear_implies_no_conflict() {
         let mut screened_out = 0u32;
         for probe in 0..300 {
             let writeset = random_writeset(&mut rng);
-            let start =
-                Version(rng.gen_range(log.floor().value()..=log.system_version().value()));
+            let start = Version(rng.gen_range(log.floor().value()..=log.system_version().value()));
             if log.prescreen_clear(&writeset, start) {
                 screened_out += 1;
                 assert_eq!(

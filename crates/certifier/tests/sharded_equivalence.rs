@@ -1,154 +1,41 @@
-//! The sharded certifier's correctness anchor: on any serial trace of
-//! certification requests it must be decision-for-decision identical to the
-//! unsharded [`Certifier`] — same commit/abort decisions, same commit
-//! versions, same remote-writeset version streams, same final system
-//! version.  With `shards == 1` the two are the same algorithm; with more
-//! shards the trace is still serial here, so the ordered two-phase certify
-//! must collapse to the same global outcome.
+//! The certifier's correctness anchor: on any serial trace of certification
+//! requests the [`ShardedCertifier`](tashkent_certifier::ShardedCertifier)
+//! must be decision-for-decision identical to the textbook reference
+//! certifier in `reference/mod.rs` — same commit/abort decisions and
+//! reasons, same commit versions, same remote-writeset version streams
+//! (including `conflict_free_to`), same final system version.  With
+//! `shards == 1` this is the paper's single certifier; with more shards the
+//! ordered two-phase certify must collapse to the same global outcome.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use tashkent_certifier::{
-    CertificationRequest, Certifier, CertifierConfig, ShardedCertifier, ShardedCertifierConfig,
-};
-use tashkent_common::{ReplicaId, TableId, Value, Version, WriteItem, WriteSet};
+mod reference;
 
-/// A randomized writeset: 1–6 items over 4 tables and a smallish key space,
-/// so the trace has real conflicts, multi-shard writesets and repeats.
-fn random_writeset(rng: &mut StdRng) -> WriteSet {
-    let items = rng.gen_range(1..=6);
-    WriteSet::from_items(
-        (0..items)
-            .map(|_| {
-                let table = TableId(rng.gen_range(0..4));
-                let key = rng.gen_range(0..64i64);
-                WriteItem::update(table, key, vec![("c".into(), Value::Int(key))])
-            })
-            .collect(),
-    )
-}
-
-/// Replays one randomized trace against a reference and a candidate
-/// certifier, asserting identical behaviour request by request.
-fn assert_equivalent(reference: &Certifier, candidate: &ShardedCertifier, seed: u64, trace: usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for step in 0..trace {
-        // Both certifiers must agree on the system version at every step, so
-        // deriving the request's versions from the reference keeps the two
-        // replays in lockstep.
-        let system = reference.system_version();
-        assert_eq!(candidate.system_version(), system, "step {step}");
-        let lag = rng.gen_range(0..4u64).min(system.value());
-        let start_version = Version(system.value() - lag);
-        let replica_lag = rng.gen_range(0..6u64).min(system.value());
-        let request = CertificationRequest {
-            replica: ReplicaId(rng.gen_range(0..3)),
-            start_version,
-            writeset: random_writeset(&mut rng),
-            replica_version: Version(system.value() - replica_lag),
-        };
-        let expected = reference.certify(&request).unwrap();
-        let actual = candidate.certify(&request).unwrap();
-        assert_eq!(
-            expected.decision.is_commit(),
-            actual.decision.is_commit(),
-            "step {step}: {:?} vs {:?}",
-            expected.decision,
-            actual.decision
-        );
-        assert_eq!(expected.commit_version, actual.commit_version, "step {step}");
-        assert_eq!(expected.system_version, actual.system_version, "step {step}");
-        // Compare the full remote tuple including `conflict_free_to`: it
-        // drives Tashkent-API's artificial-conflict detection, and under
-        // sharding it comes from the max-over-owning-shards merge — exactly
-        // the piece a regression would silently break.
-        let expected_remotes: Vec<(u64, usize, u64)> = expected
-            .remote_writesets
-            .iter()
-            .map(|r| (r.commit_version.value(), r.writeset.len(), r.conflict_free_to.value()))
-            .collect();
-        let actual_remotes: Vec<(u64, usize, u64)> = actual
-            .remote_writesets
-            .iter()
-            .map(|r| (r.commit_version.value(), r.writeset.len(), r.conflict_free_to.value()))
-            .collect();
-        assert_eq!(expected_remotes, actual_remotes, "step {step}");
-    }
-    // The full replicated streams agree from any starting point, including
-    // each entry's extended-certification bound.
-    for since in [0, 5, trace as u64 / 2] {
-        let expected: Vec<(u64, u64)> = reference
-            .writesets_after(Version(since))
-            .iter()
-            .map(|r| (r.commit_version.value(), r.conflict_free_to.value()))
-            .collect();
-        let actual: Vec<(u64, u64)> = candidate
-            .writesets_after(Version(since))
-            .iter()
-            .map(|r| (r.commit_version.value(), r.conflict_free_to.value()))
-            .collect();
-        assert_eq!(expected, actual, "writesets_after({since})");
-    }
-    let reference_stats = reference.stats();
-    let candidate_stats = candidate.stats();
-    assert_eq!(reference_stats.commits, candidate_stats.commits);
-    assert_eq!(reference_stats.conflict_aborts, candidate_stats.conflict_aborts);
-    assert_eq!(reference_stats.forced_aborts, candidate_stats.forced_aborts);
-}
-
-fn run(shards: usize, forced_abort_rate: f64, seed: u64) {
-    let base = CertifierConfig {
-        forced_abort_rate,
-        ..CertifierConfig::default()
-    };
-    let reference = Certifier::new(base.clone());
-    let candidate = ShardedCertifier::new(ShardedCertifierConfig { shards, base });
-    assert_equivalent(&reference, &candidate, seed, 400);
-}
+use reference::assert_serial_trace;
 
 #[test]
 fn single_shard_is_decision_identical_to_the_certifier() {
-    run(1, 0.0, 0xE1);
+    assert_serial_trace(1, 0.0, 0xE1, 400, None);
 }
 
 #[test]
 fn two_and_four_shards_match_on_a_serial_trace() {
-    run(2, 0.0, 0xE2);
-    run(4, 0.0, 0xE3);
+    assert_serial_trace(2, 0.0, 0xE2, 400, None);
+    assert_serial_trace(4, 0.0, 0xE3, 400, None);
 }
 
 #[test]
 fn forced_aborts_stay_in_lockstep() {
     // The forced-abort RNG is drawn once per surviving request in both
-    // implementations, so with identical seeds the draw sequences — and the
+    // certifiers, so with identical seeds the draw sequences — and the
     // abort pattern — must coincide.
-    run(1, 0.15, 0xE4);
-    run(4, 0.15, 0xE5);
+    assert_serial_trace(1, 0.15, 0xE4, 400, None);
+    assert_serial_trace(2, 0.15, 0xE6, 400, None);
+    assert_serial_trace(4, 0.15, 0xE5, 400, None);
 }
 
 #[test]
 fn conflict_abort_reasons_name_the_oldest_conflict() {
-    // Beyond decisions: the reported conflict version matches the unsharded
-    // forward scan (the oldest conflicting entry), even across shards.
-    let reference = Certifier::new(CertifierConfig::default());
-    let candidate = ShardedCertifier::new(ShardedCertifierConfig::with_shards(4));
-    let mut rng = StdRng::seed_from_u64(0xE6);
-    for _ in 0..200 {
-        let system = reference.system_version();
-        let request = CertificationRequest {
-            replica: ReplicaId(0),
-            start_version: Version(system.value().saturating_sub(rng.gen_range(0..5))),
-            writeset: random_writeset(&mut rng),
-            replica_version: system,
-        };
-        let expected = reference.certify(&request).unwrap();
-        let actual = candidate.certify(&request).unwrap();
-        match (&expected.decision, &actual.decision) {
-            (
-                tashkent_certifier::CertificationDecision::Abort { reason: a, .. },
-                tashkent_certifier::CertificationDecision::Abort { reason: b, .. },
-            ) => assert_eq!(a, b),
-            (a, b) => assert_eq!(a.is_commit(), b.is_commit(), "{a:?} vs {b:?}"),
-        }
-    }
+    // The response digest carries each abort's reason, so every trace also
+    // checks that the reported conflict version is the oldest conflicting
+    // entry — what a forward scan of one global log finds — across shards.
+    assert_serial_trace(4, 0.0, 0xE7, 200, None);
 }

@@ -16,11 +16,11 @@
 //! guarantee: a crashed replica restarts from its newest checkpoint image,
 //! so the watermark may never pass a checkpoint any replica would have to
 //! recover from — including replicas that are currently down.  The third
-//! term guarantees the certifier itself can rebuild its trimmed prefix
-//! from an image during incremental state transfer.
+//! term guarantees no certified record is dropped before a sealed image of
+//! the certifier's log covers it.
 //!
 //! Each layer additionally clamps to its *own* newest checkpoint when it
-//! actually drops records ([`tashkent_certifier::Certifier::truncate_below`],
+//! actually drops records ([`tashkent_certifier::ShardedCertifier::truncate_below`],
 //! [`crate::ReplicaNode::truncate_wal_below`]), so the cluster-wide
 //! watermark is a liveness optimisation, not the only line of defence.
 

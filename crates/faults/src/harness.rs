@@ -68,7 +68,7 @@ pub struct ScheduleConfig {
     pub system: SystemKind,
     /// Replica count.
     pub replicas: usize,
-    /// Certifier shard count (1 = the unsharded certifier).
+    /// Certifier shard count (1 = the paper's single certifier).
     pub certifier_shards: usize,
     /// Workload driving the commit clock.
     pub workload: HarnessWorkload,

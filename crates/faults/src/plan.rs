@@ -47,8 +47,8 @@ pub enum NodePick {
 pub enum FaultTarget {
     /// A database replica, by index.
     Replica(usize),
-    /// A node of one certifier shard's replicated group (the unsharded
-    /// certifier is addressed as shard 0).
+    /// A node of one certifier shard's replicated group (a one-shard
+    /// certifier has only shard 0).
     CertifierNode {
         /// The shard whose group is hit.
         shard: ShardId,
@@ -172,7 +172,7 @@ pub struct LinkEvent {
 pub struct PlanConfig {
     /// Replicas in the cluster the plan targets.
     pub replicas: usize,
-    /// Certifier shards (1 for the unsharded certifier).
+    /// Certifier shards (1 for the paper's single certifier).
     pub certifier_shards: usize,
     /// Nodes per certifier shard group.
     pub nodes_per_shard: usize,

@@ -141,7 +141,7 @@ impl ClusterNet {
         let service: Arc<RemoteCertifier> = Arc::clone(&self.clients[replica]);
         CertifierHandle::Remote {
             service,
-            colocated: Box::new(self.colocated.clone()),
+            colocated: Arc::clone(self.colocated.as_sharded()),
         }
     }
 

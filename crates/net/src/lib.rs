@@ -10,8 +10,8 @@
 //!   surface as typed errors; frames from a different protocol version are
 //!   skipped, never panicked on.
 //! * [`message`] — the hand-rolled binary codec for every replica↔certifier
-//!   message: certify request/decision, writeset stream fetch, status,
-//!   recovery state transfer, and session control (hello, ping, goodbye).
+//!   message: certify request/decision, writeset stream fetch, status, and
+//!   session control (hello, ping, goodbye).
 //! * [`transport`] — the [`Transport`]/[`Listener`]/[`Connection`] traits:
 //!   blocking endpoints with deadlines, whose every wait can be woken from
 //!   another thread (close a connection or a listener).

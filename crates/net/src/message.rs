@@ -107,16 +107,6 @@ pub enum Message {
         /// `true` if certification can currently make progress.
         available: bool,
     },
-    /// A recovering replica asks for the newest sealed checkpoint.
-    StateTransferRequest,
-    /// The checkpoint payload answering a state transfer (absent when the
-    /// certifier has never sealed one).
-    StateTransferResponse {
-        /// The opaque checkpoint bytes
-        /// ([`tashkent_certifier::certifier::decode_checkpoint_payload`]
-        /// reads them), or `None`.
-        checkpoint: Option<Vec<u8>>,
-    },
     /// Keep-alive probe.
     Ping,
     /// Keep-alive answer.
@@ -147,8 +137,8 @@ impl Message {
             Message::WritesetBatch { .. } => 5,
             Message::StatusRequest => 6,
             Message::StatusResponse { .. } => 7,
-            Message::StateTransferRequest => 8,
-            Message::StateTransferResponse { .. } => 9,
+            // Tags 8 and 9 are retired (they carried a state transfer) and
+            // stay unassigned, so every other frame keeps its bytes.
             Message::Ping => 10,
             Message::Pong => 11,
             Message::Goodbye => 12,
@@ -168,8 +158,6 @@ impl Message {
             Message::WritesetBatch { .. } => "writeset_batch",
             Message::StatusRequest => "status_request",
             Message::StatusResponse { .. } => "status_response",
-            Message::StateTransferRequest => "state_transfer_request",
-            Message::StateTransferResponse { .. } => "state_transfer_response",
             Message::Ping => "ping",
             Message::Pong => "pong",
             Message::Goodbye => "goodbye",
@@ -254,11 +242,7 @@ pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
                 encode_remote_writeset(buf, remote);
             }
         }
-        Message::StatusRequest
-        | Message::StateTransferRequest
-        | Message::Ping
-        | Message::Pong
-        | Message::Goodbye => {}
+        Message::StatusRequest | Message::Ping | Message::Pong | Message::Goodbye => {}
         Message::StatusResponse {
             system_version,
             truncation_floor,
@@ -268,14 +252,6 @@ pub fn encode_message(buf: &mut BytesMut, envelope: &Envelope) {
             encode_version(buf, *truncation_floor);
             buf.put_u8(u8::from(*available));
         }
-        Message::StateTransferResponse { checkpoint } => match checkpoint {
-            Some(bytes) => {
-                buf.put_u8(1);
-                buf.put_u32(bytes.len() as u32);
-                buf.put_slice(bytes);
-            }
-            None => buf.put_u8(0),
-        },
         Message::ErrorReply {
             unavailable,
             detail,
@@ -360,19 +336,6 @@ pub fn decode_message(buf: &mut Bytes) -> Result<Envelope> {
                 truncation_floor,
                 available: buf.get_u8() != 0,
             }
-        }
-        8 => Message::StateTransferRequest,
-        9 => {
-            need(buf, 1, "checkpoint flag")?;
-            let checkpoint = if buf.get_u8() != 0 {
-                need(buf, 4, "checkpoint length")?;
-                let len = buf.get_u32() as usize;
-                need(buf, len, "checkpoint payload")?;
-                Some(buf.split_to(len).to_vec())
-            } else {
-                None
-            };
-            Message::StateTransferResponse { checkpoint }
         }
         10 => Message::Ping,
         11 => Message::Pong,
@@ -465,11 +428,6 @@ mod tests {
             truncation_floor: Version(2),
             available: true,
         });
-        round_trip(Message::StateTransferRequest);
-        round_trip(Message::StateTransferResponse {
-            checkpoint: Some(vec![1, 2, 3]),
-        });
-        round_trip(Message::StateTransferResponse { checkpoint: None });
         round_trip(Message::Ping);
         round_trip(Message::Pong);
         round_trip(Message::Goodbye);
@@ -481,14 +439,17 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_protocol_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u64(1);
-        buf.put_u8(200);
-        let mut bytes = buf.freeze();
-        assert!(matches!(
-            decode_message(&mut bytes),
-            Err(Error::Protocol(_))
-        ));
+        // 8 and 9 are the retired state-transfer tags.
+        for tag in [8u8, 9, 200] {
+            let mut buf = BytesMut::new();
+            buf.put_u64(1);
+            buf.put_u8(tag);
+            let mut bytes = buf.freeze();
+            assert!(
+                matches!(decode_message(&mut bytes), Err(Error::Protocol(_))),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

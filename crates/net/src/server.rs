@@ -200,18 +200,6 @@ fn serve_session(
                 truncation_floor: handle.truncation_floor(),
                 available: handle.is_available(),
             },
-            Message::StateTransferRequest => match handle.as_single() {
-                Some(certifier) => Message::StateTransferResponse {
-                    checkpoint: certifier.latest_checkpoint_payload(),
-                },
-                // Answering `None` here would read as "never sealed".
-                None => Message::ErrorReply {
-                    unavailable: false,
-                    detail: "state transfer needs an unsharded certifier; \
-                             a sharded one has no single checkpoint"
-                        .into(),
-                },
-            },
             Message::Ping => Message::Pong,
             // Every earlier request has been answered: this thread answers
             // in order, so the goodbye is the drain point.

@@ -410,24 +410,6 @@ impl RemoteCertifier {
         }
     }
 
-    /// Fetches the newest sealed checkpoint from the certifier (recovery
-    /// state transfer); `None` if it has never sealed one.
-    ///
-    /// # Errors
-    ///
-    /// `Unavailable` when the wire is down; `Protocol` when the certifier
-    /// cannot serve a state transfer (a sharded certifier has no single
-    /// checkpoint to ship).
-    pub fn state_transfer(&self) -> Result<Option<Vec<u8>>> {
-        match self.request(Message::StateTransferRequest)? {
-            Message::StateTransferResponse { checkpoint } => Ok(checkpoint),
-            other => Err(Error::Protocol(format!(
-                "expected state-transfer response, got {}",
-                other.label()
-            ))),
-        }
-    }
-
     /// Round-trips a ping (liveness probe; tests and the watchdog use it).
     ///
     /// # Errors

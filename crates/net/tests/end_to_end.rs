@@ -4,9 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tashkent_certifier::{
-    CertificationRequest, Certifier, CertifierConfig, ShardedCertifier, ShardedCertifierConfig,
-};
+use tashkent_certifier::{CertificationRequest, ShardedCertifier, ShardedCertifierConfig};
 use tashkent_common::{
     metrics::MetricsRegistry, Component, CounterId, EventKind, GaugeId, ReplicaId, TableId,
     TransportKind, Value, Version, WriteItem, WriteSet,
@@ -38,8 +36,11 @@ fn commit(service: &dyn CertifierService, key: i64) -> Version {
     response.commit_version.expect("commit carries a version")
 }
 
+/// The paper's single certifier: a one-shard certifier group.
 fn single_handle() -> CertifierHandle {
-    CertifierHandle::Single(Arc::new(Certifier::new(CertifierConfig::default())))
+    CertifierHandle::Sharded(Arc::new(ShardedCertifier::new(
+        ShardedCertifierConfig::with_shards(1),
+    )))
 }
 
 #[test]
@@ -120,7 +121,6 @@ fn conversation_impl(net: Arc<LoopbackNet>) {
     assert_eq!(client.as_ref().system_version(), Version(2));
     assert!(client.as_ref().is_available());
     assert_eq!(client.as_ref().writesets_after(Version(0)).len(), 2);
-    assert!(client.state_transfer().unwrap().is_none());
 
     let snapshot = metrics.snapshot();
     assert!(snapshot.counter(CounterId::NetMessages) >= 10);
@@ -424,28 +424,4 @@ fn cluster_net_shutdown_is_prompt_with_idle_sessions() {
             );
         }
     }
-}
-
-#[test]
-fn state_transfer_from_a_sharded_certifier_is_a_typed_error() {
-    let sharded = CertifierHandle::Sharded(Arc::new(ShardedCertifier::new(
-        ShardedCertifierConfig::with_shards(2),
-    )));
-    for kind in [TransportKind::Loopback, TransportKind::Tcp] {
-        let (server, client) = serve(kind, sharded.clone());
-        let err = client
-            .state_transfer()
-            .expect_err("a sharded certifier has no single checkpoint to ship");
-        assert!(!err.is_unavailable(), "{kind:?}: not a wire failure: {err}");
-        assert!(err.to_string().contains("sharded"), "{kind:?}: {err}");
-        // The session survives the refusal.
-        assert!(commit(client.as_ref(), 1).value() > 0);
-        client.close();
-        server.stop();
-    }
-    // The unsharded certifier still answers "never sealed" as `None`.
-    let (server, client) = serve(TransportKind::Loopback, single_handle());
-    assert!(client.state_transfer().unwrap().is_none());
-    client.close();
-    server.stop();
 }

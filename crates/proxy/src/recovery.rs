@@ -163,10 +163,7 @@ pub fn recover_mw_replica(
 
 #[cfg(test)]
 mod tests {
-    use tashkent_certifier::{
-        CertificationRequest, Certifier, CertifierConfig, ShardedCertifier,
-        ShardedCertifierConfig,
-    };
+    use tashkent_certifier::{CertificationRequest, ShardedCertifier, ShardedCertifierConfig};
     use tashkent_common::{ReplicaId, SyncMode, TableId, Value, Version, WriteItem, WriteSet};
 
     use super::*;
@@ -195,7 +192,7 @@ mod tests {
 
     fn certifier_with_entries(count: i64) -> CertifierHandle {
         let certifier: CertifierHandle =
-            Arc::new(Certifier::new(CertifierConfig::default())).into();
+            Arc::new(ShardedCertifier::new(ShardedCertifierConfig::with_shards(1))).into();
         fill(&certifier, count);
         certifier
     }

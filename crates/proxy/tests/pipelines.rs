@@ -4,12 +4,19 @@
 
 use std::sync::Arc;
 
-use tashkent_certifier::{Certifier, CertifierConfig};
+use tashkent_certifier::{ShardedCertifier, ShardedCertifierConfig};
 use tashkent_common::{Error, ReplicaId, SystemKind, Value, Version};
 use tashkent_proxy::{Proxy, ProxyConfig};
 use tashkent_storage::{Database, EngineConfig};
 
-fn make_replica(system: SystemKind, id: u32, certifier: &Arc<Certifier>) -> Proxy {
+/// The paper's single certifier: a one-shard certifier group.
+fn certifier() -> Arc<ShardedCertifier> {
+    Arc::new(ShardedCertifier::new(ShardedCertifierConfig::with_shards(
+        1,
+    )))
+}
+
+fn make_replica(system: SystemKind, id: u32, certifier: &Arc<ShardedCertifier>) -> Proxy {
     let config = EngineConfig::with_sync_mode(match system {
         SystemKind::TashkentMw => tashkent_common::SyncMode::Off,
         _ => tashkent_common::SyncMode::Durable,
@@ -48,7 +55,7 @@ fn balance(proxy: &Proxy, key: i64) -> i64 {
 }
 
 fn run_two_replica_exchange(system: SystemKind) {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(system, 0, &certifier);
     let b = make_replica(system, 1, &certifier);
 
@@ -89,7 +96,7 @@ fn tashkent_api_replicas_exchange_updates() {
 
 #[test]
 fn conflicting_updates_on_different_replicas_abort_one() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentMw, 0, &certifier);
     let b = make_replica(SystemKind::TashkentMw, 1, &certifier);
     let ta = a.database().table_id("accounts").unwrap();
@@ -116,7 +123,7 @@ fn conflicting_updates_on_different_replicas_abort_one() {
 
 #[test]
 fn local_certification_aborts_without_contacting_certifier() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentMw, 0, &certifier);
     let b = make_replica(SystemKind::TashkentMw, 1, &certifier);
     let ta = a.database().table_id("accounts").unwrap();
@@ -138,7 +145,7 @@ fn local_certification_aborts_without_contacting_certifier() {
 
 #[test]
 fn read_only_transactions_commit_without_certification() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::Base, 0, &certifier);
     let table = a.database().table_id("accounts").unwrap();
     deposit(&a, 1, 10).unwrap();
@@ -154,18 +161,18 @@ fn read_only_transactions_commit_without_certification() {
 
 #[test]
 fn tashkent_mw_replicas_never_fsync_but_certifier_does() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentMw, 0, &certifier);
     for key in 0..20 {
         deposit(&a, key, 5).unwrap();
     }
     assert_eq!(a.database().stats().wal.fsyncs, 0);
-    assert!(certifier.stats().log.leader_fsyncs > 0);
+    assert!(certifier.stats().aggregate().log.leader_fsyncs > 0);
 }
 
 #[test]
 fn base_replicas_fsync_for_every_commit_and_remote_group() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::Base, 0, &certifier);
     let b = make_replica(SystemKind::Base, 1, &certifier);
     // Interleave commits so each replica also has remote writesets to apply.
@@ -182,7 +189,7 @@ fn base_replicas_fsync_for_every_commit_and_remote_group() {
 #[test]
 fn concurrent_clients_on_one_replica_agree_with_the_certifier() {
     for system in [SystemKind::Base, SystemKind::TashkentMw, SystemKind::TashkentApi] {
-        let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+        let certifier = certifier();
         let proxy = make_replica(system, 0, &certifier);
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -213,7 +220,7 @@ fn concurrent_clients_on_one_replica_agree_with_the_certifier() {
 
 #[test]
 fn tashkent_api_serialises_artificial_conflicts() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let api = make_replica(SystemKind::TashkentApi, 0, &certifier);
     let remote = make_replica(SystemKind::TashkentApi, 1, &certifier);
 
@@ -235,7 +242,7 @@ fn tashkent_api_serialises_artificial_conflicts() {
 
 #[test]
 fn eager_precertification_wounds_conflicting_local_transactions() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentMw, 0, &certifier);
     let b = make_replica(SystemKind::TashkentMw, 1, &certifier);
     let ta = a.database().table_id("accounts").unwrap();
@@ -259,7 +266,7 @@ fn eager_precertification_wounds_conflicting_local_transactions() {
 
 #[test]
 fn certifier_outage_surfaces_as_unavailable() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::Base, 0, &certifier);
     deposit(&a, 1, 1).unwrap();
     certifier.crash_node(tashkent_certifier::CertifierNodeId(0));
@@ -279,7 +286,7 @@ fn certifier_outage_surfaces_as_unavailable() {
 /// previously pinned only by stress runs).
 #[test]
 fn declined_grouped_install_has_no_side_effects() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentApi, 0, &certifier);
     let b = make_replica(SystemKind::TashkentApi, 1, &certifier);
 
@@ -310,7 +317,7 @@ fn declined_grouped_install_has_no_side_effects() {
 /// by a failed pipeline, and the replica is fully usable afterwards.
 #[test]
 fn resync_force_fills_burned_order_indices() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentApi, 0, &certifier);
     let b = make_replica(SystemKind::TashkentApi, 1, &certifier);
 
@@ -348,7 +355,7 @@ fn resync_force_fills_burned_order_indices() {
 /// is fresh.
 #[test]
 fn declined_refresh_keeps_the_staleness_clock_running() {
-    let certifier = Arc::new(Certifier::new(CertifierConfig::default()));
+    let certifier = certifier();
     let a = make_replica(SystemKind::TashkentApi, 0, &certifier);
     let b = make_replica(SystemKind::TashkentApi, 1, &certifier);
 

@@ -147,9 +147,7 @@ fn main() {
         config.certifier_shards = shards;
         let (cluster, report, samples) = run_tpcb(config);
         let handle = cluster.certifier();
-        let multi_shard = handle
-            .as_sharded()
-            .map_or(0, |sharded| sharded.stats().multi_shard_commits);
+        let multi_shard = handle.as_sharded().stats().multi_shard_commits;
         // Commits per second of *measurement window*: `DriverReport::elapsed`
         // also counts the shutdown join of in-flight transactions (long for
         // Tashkent-API pipelines, and equally so with one shard), which
